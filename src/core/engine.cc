@@ -1,5 +1,7 @@
 #include "core/engine.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "common/stopwatch.h"
 #include "common/worker_pool.h"
@@ -18,10 +20,35 @@ WakeEngine::WakeEngine(const Catalog* catalog, WakeOptions options)
   }
 }
 
+void WakeEngine::Connect(const Compiled& in, ExecNode* consumer,
+                         Demand demand, ConsumerEdges* edges) {
+  consumer->AddInput(in.node->ClaimOutput());
+  (*edges)[in.node].push_back(
+      {consumer, in.refresh ? demand : Demand::kEveryState});
+}
+
+void WakeEngine::MarkFinalOnly(
+    const std::vector<std::unique_ptr<ExecNode>>& nodes,
+    const ConsumerEdges& edges) {
+  // Reverse compile order visits every consumer before its inputs, so a
+  // kAsConsumer edge always reads its consumer's settled mark.
+  for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
+    auto found = edges.find(it->get());
+    if (found == edges.end()) continue;
+    const std::vector<ConsumerEdge>& out = found->second;
+    (*it)->SetFinalOnly(
+        !out.empty() &&
+        std::all_of(out.begin(), out.end(), [](const ConsumerEdge& e) {
+          return e.demand == Demand::kLastState ||
+                 (e.demand == Demand::kAsConsumer && e.consumer->final_only());
+        }));
+  }
+}
+
 WakeEngine::Compiled WakeEngine::CompileRec(
     const PlanNodePtr& plan,
     std::vector<std::unique_ptr<ExecNode>>* nodes,
-    CompileMemo* memo) const {
+    CompileMemo* memo, ConsumerEdges* edges) const {
   // Shared-subplan reuse (§7.3): a PlanNode object reachable through
   // several parents compiles to one ExecNode with broadcast outputs.
   if (options_.share_subplans) {
@@ -46,22 +73,24 @@ WakeEngine::Compiled WakeEngine::CompileRec(
       break;
     }
     case PlanOp::kMap: {
-      Compiled in = CompileRec(plan->inputs[0], nodes, memo);
+      Compiled in = CompileRec(plan->inputs[0], nodes, memo, edges);
       nodes->push_back(std::make_unique<MapNode>(
           *plan, in.props.schema, out.props.schema, node_options));
-      nodes->back()->AddInput(in.node->ClaimOutput());
+      Connect(in, nodes->back().get(), Demand::kAsConsumer, edges);
+      out.refresh = in.refresh;
       break;
     }
     case PlanOp::kFilter: {
-      Compiled in = CompileRec(plan->inputs[0], nodes, memo);
+      Compiled in = CompileRec(plan->inputs[0], nodes, memo, edges);
       nodes->push_back(std::make_unique<FilterNode>(
           plan->predicate, in.props.schema, node_options));
-      nodes->back()->AddInput(in.node->ClaimOutput());
+      Connect(in, nodes->back().get(), Demand::kAsConsumer, edges);
+      out.refresh = in.refresh;
       break;
     }
     case PlanOp::kJoin: {
-      Compiled left = CompileRec(plan->inputs[0], nodes, memo);
-      Compiled right = CompileRec(plan->inputs[1], nodes, memo);
+      Compiled left = CompileRec(plan->inputs[0], nodes, memo, edges);
+      Compiled right = CompileRec(plan->inputs[1], nodes, memo, edges);
       bool both_append = left.props.mode == EvolveMode::kAppend &&
                          right.props.mode == EvolveMode::kAppend;
       bool clustered =
@@ -79,28 +108,34 @@ WakeEngine::Compiled WakeEngine::CompileRec(
         nodes->push_back(std::make_unique<HashJoinNode>(
             *plan, left.props.schema, right.props.schema, out.props.schema,
             node_options));
+        out.refresh = left.refresh;  // probe partials keep their mode
       }
-      nodes->back()->AddInput(left.node->ClaimOutput());
-      nodes->back()->AddInput(right.node->ClaimOutput());
+      // Only the last build snapshot is ever probed (the join blocks until
+      // build EOF); a merge join has append inputs only.
+      Connect(left, nodes->back().get(), Demand::kAsConsumer, edges);
+      Connect(right, nodes->back().get(), Demand::kLastState, edges);
       break;
     }
     case PlanOp::kAggregate: {
-      Compiled in = CompileRec(plan->inputs[0], nodes, memo);
+      Compiled in = CompileRec(plan->inputs[0], nodes, memo, edges);
       if (out.props.mode == EvolveMode::kAppend) {
         nodes->push_back(std::make_unique<LocalAggNode>(
             *plan, in.props.schema, out.props.schema, node_options));
       } else {
         nodes->push_back(std::make_unique<ShuffleAggNode>(
             *plan, in.props.schema, out.props.schema, node_options));
+        out.refresh = true;
       }
-      nodes->back()->AddInput(in.node->ClaimOutput());
+      // The growth model observes every input state.
+      Connect(in, nodes->back().get(), Demand::kEveryState, edges);
       break;
     }
     case PlanOp::kSortLimit: {
-      Compiled in = CompileRec(plan->inputs[0], nodes, memo);
+      Compiled in = CompileRec(plan->inputs[0], nodes, memo, edges);
       nodes->push_back(std::make_unique<SortLimitNode>(
           *plan, in.props.schema, node_options));
-      nodes->back()->AddInput(in.node->ClaimOutput());
+      Connect(in, nodes->back().get(), Demand::kAsConsumer, edges);
+      out.refresh = true;
       break;
     }
   }
@@ -112,9 +147,12 @@ WakeEngine::Compiled WakeEngine::CompileRec(
 std::unique_ptr<EngineRun> WakeEngine::Start(const PlanNodePtr& plan) const {
   auto run = std::unique_ptr<EngineRun>(new EngineRun());
   CompileMemo memo;
-  Compiled root = CompileRec(plan, &run->nodes_, &memo);
+  ConsumerEdges edges;
+  Compiled root = CompileRec(plan, &run->nodes_, &memo, &edges);
   run->root_props_ = std::move(root.props);
   run->channel_ = root.node->ClaimOutput();
+  edges[root.node].push_back({nullptr, Demand::kEveryState});
+  MarkFinalOnly(run->nodes_, edges);
   run->trace_enabled_ = options_.trace;
   run->tracker_ = options_.tracker;
   run->clock_.Restart();
@@ -154,6 +192,13 @@ void EngineRun::OnNodeError(std::exception_ptr error) {
   Cancel();
 }
 
+std::vector<std::pair<std::string, bool>> EngineRun::final_only_marks()
+    const {
+  std::vector<std::pair<std::string, bool>> marks;
+  for (const auto& n : nodes_) marks.emplace_back(n->label(), n->final_only());
+  return marks;
+}
+
 void EngineRun::Collect(const StateCallback& on_state) {
   CheckArg(!collected_, "EngineRun::Collect called twice");
   try {
@@ -179,8 +224,11 @@ void EngineRun::Collect(const StateCallback& on_state) {
 }
 
 void EngineRun::CollectImpl(const StateCallback& on_state) {
-  // Collector: assemble the evolving result from the root's stream.
-  DataFrame content(root_props_.schema);
+  // Collector: assemble the evolving result from the root's stream. A
+  // refresh frame is an immutable snapshot the caller can share as is;
+  // append partials accumulate into `appended`.
+  DataFramePtr snapshot;
+  DataFrame appended(root_props_.schema);
   std::shared_ptr<const VarianceMap> latest_vars;
   double progress = 0.0;
   bool got_any = false;
@@ -194,16 +242,19 @@ void EngineRun::CollectImpl(const StateCallback& on_state) {
         tracker_->Credit(msg.frame->ByteSize());
       }
       if (msg.refresh) {
-        content = *msg.frame;
+        snapshot = msg.frame;
       } else {
-        content.Append(*msg.frame);
+        appended.Append(*msg.frame);
+        snapshot = nullptr;
       }
       progress = std::max(progress, msg.progress);
       latest_vars = msg.variances;
       got_any = true;
       if (on_state) {
         OlaState state;
-        state.frame = std::make_shared<DataFrame>(content);
+        state.frame = snapshot != nullptr
+                          ? snapshot
+                          : std::make_shared<DataFrame>(appended);
         state.progress = progress;
         state.is_final = false;
         state.elapsed_seconds = clock_.ElapsedSeconds();
@@ -218,20 +269,23 @@ void EngineRun::CollectImpl(const StateCallback& on_state) {
   }
   for (auto& n : nodes_) n->Join();
 
-  buffered_bytes_ = content.ByteSize();
+  buffered_bytes_ =
+      snapshot != nullptr ? snapshot->ByteSize() : appended.ByteSize();
   for (const auto& n : nodes_) buffered_bytes_ += n->BufferedBytes();
   spans_ = trace_enabled_ ? trace_.Spans() : std::vector<TraceSpan>{};
   collected_ = true;
 
   // A cancelled run ends without a final state: the root stream was cut
-  // mid-query, so `content` is a truncated prefix, not the exact answer.
+  // mid-query, so the content is a truncated prefix, not the exact answer.
   // A *degraded* run (budget breach, kDegrade policy) does deliver its
   // last state — but its progress must report how far the drain actually
   // got, not claim a complete input.
   bool degraded = tracker_ != nullptr && tracker_->breached();
   if (on_state && !cancelled()) {
     OlaState state;
-    state.frame = std::make_shared<DataFrame>(std::move(content));
+    state.frame = snapshot != nullptr
+                      ? snapshot
+                      : std::make_shared<DataFrame>(std::move(appended));
     state.progress = (got_any && !degraded) ? 1.0 : progress;
     state.is_final = true;
     state.elapsed_seconds = clock_.ElapsedSeconds();

@@ -13,6 +13,16 @@
 //                       growth-based inference otherwise (Case 2)
 //  - sort/limit      -> SortLimitNode (Case 3 recompute)
 // Every node runs on its own thread; edges are unbounded channels (§7.2).
+//
+// Demand pass: before the threads start, a node is marked final-only
+// (ExecNode::SetFinalOnly) when every consumer reads only its last
+// refresh state — a hash-join build port (the join blocks until the
+// build side is final, §3.3), or a final-only Map, Filter, hash-join
+// probe or SortLimit. A marked ShuffleAggNode finalizes and sends only
+// that state; the other operators carry the mark down to their inputs.
+// The collector and aggregation inputs (the growth fit reads every
+// state) read everything, so the root and any subplan it shares are
+// never marked, and no state the caller receives changes.
 #ifndef WAKE_CORE_ENGINE_H_
 #define WAKE_CORE_ENGINE_H_
 
@@ -20,6 +30,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/resource.h"
@@ -130,6 +142,10 @@ class EngineRun {
   size_t buffered_bytes() const { return buffered_bytes_; }
   const std::vector<TraceSpan>& trace_spans() const { return spans_; }
 
+  /// (label, final-only) of every compiled node, each after its inputs:
+  /// what the demand pass marked.
+  std::vector<std::pair<std::string, bool>> final_only_marks() const;
+
  private:
   friend class WakeEngine;
   EngineRun() = default;
@@ -186,12 +202,39 @@ class WakeEngine {
   struct Compiled {
     ExecNode* node = nullptr;
     PlanProps props;
+    /// The node sends refresh snapshots. Not always props.mode: a hash
+    /// join over an append probe sends append partials even when its
+    /// build side is refresh-mode.
+    bool refresh = false;
   };
   using CompileMemo = std::unordered_map<const PlanNode*, Compiled>;
 
+  /// How much of a refresh input its consumer reads.
+  enum class Demand : uint8_t {
+    kEveryState,  // the collector, aggregation inputs, append edges
+    kLastState,   // a hash-join build port
+    kAsConsumer,  // the last state iff the consumer is final-only
+  };
+  struct ConsumerEdge {
+    const ExecNode* consumer = nullptr;  // null = the collector
+    Demand demand = Demand::kEveryState;
+  };
+  /// Consumer edges of every compiled node, keyed by producer.
+  using ConsumerEdges =
+      std::unordered_map<const ExecNode*, std::vector<ConsumerEdge>>;
+
   Compiled CompileRec(const PlanNodePtr& plan,
                       std::vector<std::unique_ptr<ExecNode>>* nodes,
-                      CompileMemo* memo) const;
+                      CompileMemo* memo, ConsumerEdges* edges) const;
+
+  /// Wires `in` into the next input port of `consumer` and records the
+  /// edge (append edges always demand every state).
+  static void Connect(const Compiled& in, ExecNode* consumer, Demand demand,
+                      ConsumerEdges* edges);
+
+  /// The demand pass (see file comment).
+  static void MarkFinalOnly(const std::vector<std::unique_ptr<ExecNode>>& nodes,
+                            const ConsumerEdges& edges);
 
   const Catalog* catalog_;
   WakeOptions options_;

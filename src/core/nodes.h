@@ -21,6 +21,9 @@
 //                  emits scaled extrinsic snapshots (§5), optionally with
 //                  variance output (§6).
 //  SortLimitNode   Case 3: re-sorts the full current content per state.
+//
+// A ShuffleAggNode the engine marks final-only (ExecNode::SetFinalOnly)
+// finalizes and sends only its last snapshot.
 #ifndef WAKE_CORE_NODES_H_
 #define WAKE_CORE_NODES_H_
 
@@ -216,7 +219,6 @@ class ShuffleAggNode : public ExecNode {
   NodeOptions options_;
   GroupedAggState state_;
   GrowthModel growth_;
-  uint64_t version_ = 0;
   double last_progress_ = 0.0;
   bool emitted_final_ = false;
 };
@@ -237,7 +239,6 @@ class SortLimitNode : public ExecNode {
   Schema schema_;
   NodeOptions options_;
   DataFrame content_;  // full current content
-  uint64_t version_ = 0;
 };
 
 }  // namespace wake

@@ -39,8 +39,10 @@ void LocalAggNode::Process(size_t, const Message& msg) {
   last_progress_ = msg.progress;
   size_t n = pending_.num_rows();
   if (n == 0) {
-    Emit(Message{std::make_shared<DataFrame>(output_schema_), msg.progress,
-                 0, false, nullptr});
+    Message empty;
+    empty.frame = std::make_shared<DataFrame>(output_schema_);
+    empty.progress = msg.progress;
+    Emit(std::move(empty));
     return;
   }
   size_t ready = n;
@@ -159,6 +161,9 @@ void ShuffleAggNode::Process(size_t, const Message& msg) {
   state_.Consume(*msg.frame, msg.variances.get());
   growth_.Observe(msg.progress, state_.MeanGroupCardinality());
   last_progress_ = msg.progress;
+  // Final-only: no consumer reads the estimates, so only the exact
+  // snapshot is materialized here (a drained run's comes from Finish).
+  if (final_only() && msg.progress < 1.0) return;
   EmitSnapshot(msg.progress, msg.progress >= 1.0);
 }
 
@@ -192,7 +197,6 @@ void ShuffleAggNode::EmitSnapshot(double progress, bool final_snapshot,
   Message msg;
   msg.frame = std::make_shared<DataFrame>(std::move(res.frame));
   msg.progress = progress;
-  msg.version = ++version_;
   msg.refresh = true;
   if (options_.with_ci) {
     msg.variances = std::make_shared<VarianceMap>(std::move(res.variances));
@@ -232,7 +236,6 @@ void SortLimitNode::Process(size_t, const Message& msg) {
   Message result;
   result.frame = std::make_shared<DataFrame>(std::move(sorted));
   result.progress = msg.progress;
-  result.version = ++version_;
   result.refresh = true;
   Emit(std::move(result));
 }

@@ -127,7 +127,6 @@ void MapNode::Process(size_t, const Message& msg) {
     Message result;
     result.frame = std::make_shared<DataFrame>(std::move(stitched));
     result.progress = msg.progress;
-    result.version = msg.version;
     result.refresh = msg.refresh;
     Emit(std::move(result));
     return;
@@ -167,7 +166,6 @@ void MapNode::Process(size_t, const Message& msg) {
   }
   result.frame = std::move(out);
   result.progress = msg.progress;
-  result.version = msg.version;
   result.refresh = msg.refresh;
   Emit(std::move(result));
 }
@@ -205,7 +203,6 @@ void FilterNode::Process(size_t, const Message& msg) {
     Message result;
     result.frame = std::make_shared<DataFrame>(std::move(stitched));
     result.progress = msg.progress;
-    result.version = msg.version;
     result.refresh = msg.refresh;
     Emit(std::move(result));
     return;
@@ -217,7 +214,6 @@ void FilterNode::Process(size_t, const Message& msg) {
   Message result;
   result.frame = std::make_shared<DataFrame>(in.Take(sel));
   result.progress = msg.progress;
-  result.version = msg.version;
   result.refresh = msg.refresh;
   if (options_.with_ci && msg.variances != nullptr) {
     auto out_vars = std::make_shared<VarianceMap>();

@@ -70,7 +70,6 @@ void HashJoinNode::ProbeAndEmit(const Message& msg) {
                      nullptr, nullptr, options_.pool));
   }
   result.progress = msg.progress;
-  result.version = msg.version;
   result.refresh = msg.refresh;
   Emit(std::move(result));
 }

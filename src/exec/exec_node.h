@@ -97,6 +97,14 @@ class ExecNode {
     drain_stop_.store(true, std::memory_order_relaxed);
   }
 
+  /// Marks this node *final-only* (WakeEngine's demand pass, run before
+  /// Start): every consumer reads only its last refresh state. The node
+  /// still processes every input; ShuffleAggNode then skips finalizing
+  /// the snapshots nobody reads. Other operators forward as usual, and
+  /// the mark only tells the pass that their inputs may be marked too.
+  void SetFinalOnly(bool final_only) { final_only_ = final_only; }
+  bool final_only() const { return final_only_; }
+
   /// Approximate bytes currently buffered in node state (hash tables,
   /// pending frames, aggregation state); used for the peak-memory
   /// comparison of §8.2.
@@ -195,6 +203,7 @@ class ExecNode {
   size_t accounted_state_bytes_ = 0;  // node-thread only
   bool emit_buffering_ = false;
   std::vector<Message> emit_buffer_;
+  bool final_only_ = false;
 };
 
 }  // namespace wake

@@ -132,7 +132,16 @@ uint64_t LiveTable::Append(const DataFrame& rows) {
            "append schema mismatch for live table '" + name_ + "'");
   auto chunk = std::make_shared<DataFrame>(rows);  // immutable copy
   hot_rows_ += chunk->num_rows();
-  hot_bytes_ += chunk->ByteSize();
+  // Column::ByteSize counts a column's whole dict. Slices of one dict-
+  // encoded frame share it, so the hot set holds it once and pays once.
+  size_t bytes = chunk->ByteSize();
+  for (size_t c = 0; c < chunk->num_columns(); ++c) {
+    const StringDictPtr& dict = chunk->column(c).dict();
+    if (dict != nullptr && !hot_dicts_.insert(dict.get()).second) {
+      bytes -= dict->ByteSize();
+    }
+  }
+  hot_bytes_ += bytes;
   rows_appended_ += chunk->num_rows();
   hot_chunks_.push_back(std::move(chunk));
   const bool seal =
@@ -199,6 +208,7 @@ void LiveTable::SealHotLocked() {
   hot_chunks_.clear();
   hot_rows_ = 0;
   hot_bytes_ = 0;
+  hot_dicts_.clear();
   ApplyRetentionLocked();
 }
 

@@ -43,6 +43,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "storage/partitioned_table.h"
@@ -160,6 +161,8 @@ class LiveTable : public DynamicTable {
   std::vector<DataFramePtr> hot_chunks_;
   size_t hot_rows_ = 0;
   size_t hot_bytes_ = 0;
+  // Dicts already charged to hot_bytes_; the hot chunks keep them alive.
+  std::unordered_set<const StringDict*> hot_dicts_;
   uint64_t epoch_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t rows_appended_ = 0;

@@ -476,7 +476,12 @@ void Server::TeardownConnection(const std::shared_ptr<Connection>& conn) {
     if (q->pump.joinable()) q->pump.join();
   }
   queries.clear();  // ~QueryHandle joins each query's driver thread
-  conn->sock.Close();
+  {
+    // Under write_mu, like every other thread's use of the socket:
+    // Shutdown may be shutting this connection down right now.
+    std::lock_guard<std::mutex> lock(conn->write_mu);
+    conn->sock.Close();
+  }
   conn->done.store(true, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(drain_mu_);
@@ -556,6 +561,10 @@ bool Server::Shutdown(int64_t drain_timeout_ms) {
     WriteFrame(*conn, FrameType::kGoodbye,
                protocol::Encode(protocol::Goodbye{"server shutting down"}),
                options_.write_timeout_ms, options_.max_frame_bytes);
+    // The reader may have torn the connection down since the check
+    // above; it closes the socket under write_mu, so this never touches
+    // a closed (or reused) descriptor.
+    std::lock_guard<std::mutex> lock(conn->write_mu);
     conn->sock.ShutdownBoth();
   }
   for (const auto& conn : conns) {

@@ -80,6 +80,25 @@ TEST_F(BudgetTest, RowsScannedCapDegrades) {
   EXPECT_LT(result.progress, 1.0);
 }
 
+// Q17's per-part average feeds a join build side, so the engine marks
+// that aggregate final-only: it sends nothing until its input ends.
+// Drained by a budget, the run must still end with a partial answer, not
+// hang on the join and not claim to be exact.
+TEST_F(BudgetTest, DrainedFinalOnlyBuildSideStillEstimates) {
+  Db db(&cat_);
+  PreparedQuery q = db.Prepare(tpch::QuerySql(17));
+  RunOptions run;
+  run.with_ci = true;
+  run.max_rows_scanned = cat_.Get("lineitem").total_rows() / 4;
+  QueryHandle handle = q.Run(run);
+  QueryResult result = handle.Result();
+  EXPECT_EQ(result.status, ResultStatus::kPartialBudget);
+  EXPECT_EQ(result.breach, BreachReason::kRowsScanned);
+  EXPECT_LT(result.progress, 1.0);
+  ASSERT_NE(result.frame, nullptr);
+  EXPECT_EQ(result.frame->num_columns(), q.schema().num_fields());
+}
+
 TEST_F(BudgetTest, UnbudgetedRunsAreUnaffected) {
   Db db(&cat_);
   PreparedQuery q = db.Prepare(tpch::QuerySql(6));

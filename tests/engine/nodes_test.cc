@@ -2,8 +2,12 @@
 // engine runs on synthetic tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "baseline/exact_engine.h"
 #include "core/engine.h"
+#include "server/protocol.h"
 
 namespace wake {
 namespace {
@@ -238,6 +242,201 @@ TEST(EngineTest, EmptyScanStillFinalizes) {
   engine.Execute(Plan::Scan("empty").Aggregate({}, {Count("n")}).node(),
                  [&](const OlaState& s) { finalized |= s.is_final; });
   EXPECT_TRUE(finalized);
+}
+
+// ---------------------------------------------------------------------------
+// Final-only nodes and the engine's demand pass
+// ---------------------------------------------------------------------------
+
+std::string WireBytes(const DataFrame& df) {
+  wire::WireWriter w;
+  protocol::EncodeDataFrame(df, &w);
+  return w.Take();
+}
+
+/// Runs `node` alone: feeds `inputs` through one channel, closes it
+/// (drain-stopping the node first when asked), and returns every message
+/// the node sent.
+std::vector<Message> RunAlone(ExecNode* node,
+                              const std::vector<Message>& inputs,
+                              bool drain_stop = false) {
+  auto in = std::make_shared<MessageChannel>();
+  node->AddInput(in);
+  MessageChannelPtr out = node->ClaimOutput();
+  if (drain_stop) node->RequestDrainStop();
+  node->Start(nullptr);
+  for (const Message& msg : inputs) in->Send(msg);
+  in->Close();
+  std::vector<Message> sent;
+  for (;;) {
+    auto batch = out->ReceiveAll();
+    if (batch.empty()) break;
+    for (auto& msg : batch) sent.push_back(std::move(msg));
+  }
+  node->Join();
+  return sent;
+}
+
+/// The first `count` of `parts` append partials of the fact table.
+std::vector<Message> FactPartials(const Catalog& cat, size_t parts,
+                                  size_t count) {
+  DataFrame fact = cat.GetPtr("fact")->Materialize();
+  std::vector<Message> out;
+  for (size_t i = 0; i < count; ++i) {
+    Message msg;
+    msg.frame = std::make_shared<DataFrame>(
+        fact.Slice(i * fact.num_rows() / parts,
+                   (i + 1) * fact.num_rows() / parts));
+    msg.progress = static_cast<double>(i + 1) / static_cast<double>(parts);
+    out.push_back(std::move(msg));
+  }
+  return out;
+}
+
+/// Runs a marked and an unmarked copy of the node `make` builds over the
+/// same input; the marked one must send exactly the unmarked one's last
+/// message, and nothing else.
+void ExpectOnlyLastState(const std::function<std::unique_ptr<ExecNode>()>& make,
+                         const std::vector<Message>& inputs,
+                         bool drain_stop, double want_progress) {
+  std::unique_ptr<ExecNode> every = make();
+  std::vector<Message> all = RunAlone(every.get(), inputs, drain_stop);
+  ASSERT_GE(all.size(), 2u);
+  std::unique_ptr<ExecNode> last = make();
+  last->SetFinalOnly(true);
+  std::vector<Message> one = RunAlone(last.get(), inputs, drain_stop);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_DOUBLE_EQ(one[0].progress, want_progress);
+  EXPECT_DOUBLE_EQ(one[0].progress, all.back().progress);
+  EXPECT_EQ(one[0].refresh, all.back().refresh);
+  EXPECT_EQ(WireBytes(*one[0].frame), WireBytes(*all.back().frame));
+  ASSERT_EQ(one[0].variances != nullptr, all.back().variances != nullptr);
+  if (one[0].variances != nullptr) {
+    EXPECT_EQ(*one[0].variances, *all.back().variances);
+  }
+}
+
+TEST(FinalOnlyNodeTest, ShuffleAggSendsOnlyItsExactState) {
+  Catalog cat = SyntheticCatalog(1000, 10, /*decorrelate=*/true);
+  Plan plan = Plan::Scan("fact").Aggregate(
+      {"dim"}, {Sum("val", "s"), Avg("val", "a"), Count("n")});
+  PlanProps props = InferProps(plan.node(), cat);
+  const Schema& in_schema = cat.GetPtr("fact")->schema();
+  for (bool with_ci : {false, true}) {
+    SCOPED_TRACE(with_ci ? "with CI" : "without CI");
+    NodeOptions options;
+    options.with_ci = with_ci;
+    ExpectOnlyLastState(
+        [&] {
+          return std::make_unique<ShuffleAggNode>(*plan.node(), in_schema,
+                                                  props.schema, options);
+        },
+        FactPartials(cat, 10, 10), /*drain_stop=*/false, 1.0);
+  }
+}
+
+TEST(FinalOnlyNodeTest, DrainedShuffleAggSendsItsLastEstimate) {
+  Catalog cat = SyntheticCatalog(1000, 10, /*decorrelate=*/true);
+  Plan plan = Plan::Scan("fact").Aggregate({"dim"}, {Sum("val", "s")});
+  PlanProps props = InferProps(plan.node(), cat);
+  NodeOptions options;
+  options.with_ci = true;
+  ExpectOnlyLastState(
+      [&] {
+        return std::make_unique<ShuffleAggNode>(
+            *plan.node(), cat.GetPtr("fact")->schema(), props.schema,
+            options);
+      },
+      FactPartials(cat, 10, 4), /*drain_stop=*/true, 0.4);
+}
+
+TEST(FinalOnlyNodeTest, MarkedSortLimitStillSendsEveryState) {
+  // Only ShuffleAggNode acts on the mark; a marked SortLimit under a join
+  // build side carries it down to its input and re-sorts per state.
+  Catalog cat = SyntheticCatalog(600, 6, /*decorrelate=*/true);
+  Plan plan = Plan::Scan("fact").Sort({{"val", true}, {"key", false}}, 25);
+  const Schema& schema = cat.GetPtr("fact")->schema();
+  std::vector<Message> inputs = FactPartials(cat, 6, 6);
+  SortLimitNode every(*plan.node(), schema, NodeOptions{});
+  std::vector<Message> all = RunAlone(&every, inputs);
+  SortLimitNode marked(*plan.node(), schema, NodeOptions{});
+  marked.SetFinalOnly(true);
+  std::vector<Message> sent = RunAlone(&marked, inputs);
+  ASSERT_EQ(sent.size(), inputs.size());
+  ASSERT_EQ(sent.size(), all.size());
+  for (size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_DOUBLE_EQ(sent[i].progress, all[i].progress) << "state " << i;
+    EXPECT_EQ(WireBytes(*sent[i].frame), WireBytes(*all[i].frame))
+        << "state " << i;
+  }
+}
+
+/// Label -> final-only mark of every node of `plan`'s compiled graph
+/// (the graph runs to completion before returning).
+std::vector<std::pair<std::string, bool>> Marks(const Catalog& cat,
+                                                const Plan& plan) {
+  WakeEngine engine(&cat);
+  std::unique_ptr<EngineRun> run = engine.Start(plan.node());
+  std::vector<std::pair<std::string, bool>> marks = run->final_only_marks();
+  run->Collect(nullptr);
+  return marks;
+}
+
+std::vector<std::string> MarkedLabels(const Catalog& cat, const Plan& plan) {
+  std::vector<std::string> marked;
+  for (const auto& [label, final_only] : Marks(cat, plan)) {
+    if (final_only) marked.push_back(label);
+  }
+  return marked;
+}
+
+Plan DimSums() {
+  return Plan::Scan("fact").Aggregate({"dim"}, {Sum("val", "s")});
+}
+
+TEST(DemandPassTest, AggIntoJoinBuildIsMarked) {
+  Catalog cat = SyntheticCatalog(200, 4);
+  Plan plan = Plan::Scan("fact").Join(DimSums().WithLabel("sums"),
+                                      JoinType::kInner, {"dim"}, {"dim"});
+  EXPECT_EQ(MarkedLabels(cat, plan), std::vector<std::string>{"sums"});
+}
+
+TEST(DemandPassTest, PassThroughChainIntoJoinBuildIsMarked) {
+  Catalog cat = SyntheticCatalog(200, 4);
+  Plan build = DimSums()
+                   .WithLabel("sums")
+                   .Filter(Gt(Expr::Col("s"), Expr::Float(0.0)))
+                   .Map({{"d2", Expr::Col("dim")}, {"s2", Expr::Col("s")}})
+                   .WithLabel("rename");
+  Plan plan =
+      Plan::Scan("fact").Join(build, JoinType::kInner, {"dim"}, {"d2"});
+  EXPECT_EQ(MarkedLabels(cat, plan),
+            (std::vector<std::string>{"sums", "filter", "rename"}));
+}
+
+TEST(DemandPassTest, AggSharedWithTheRootIsNotMarked) {
+  Catalog cat = SyntheticCatalog(200, 4);
+  Plan sums = DimSums().WithLabel("sums");
+  Plan build = sums.Map({{"d2", Expr::Col("dim")}, {"s2", Expr::Col("s")}})
+                   .WithLabel("rename");
+  // `sums` feeds the root join's probe side and, through `rename`, its
+  // build side: one node, two consumers, only one of them final-only.
+  Plan plan = sums.Join(build, JoinType::kInner, {"dim"}, {"d2"});
+  std::vector<std::pair<std::string, bool>> marks = Marks(cat, plan);
+  EXPECT_EQ(std::count_if(marks.begin(), marks.end(),
+                          [](const auto& m) { return m.first == "sums"; }),
+            1);
+  EXPECT_EQ(MarkedLabels(cat, plan), std::vector<std::string>{"rename"});
+}
+
+TEST(DemandPassTest, AggregateChainsAreNotMarked) {
+  Catalog cat = SyntheticCatalog(200, 4);
+  Plan total = DimSums().WithLabel("sums").Aggregate({}, {Sum("s", "t")});
+  EXPECT_TRUE(MarkedLabels(cat, total).empty());
+  // Under a join build the outer aggregate is marked, but its input is
+  // not: the growth fit of an aggregate reads every input state.
+  Plan plan = Plan::Scan("fact").CrossJoin(total.WithLabel("total"));
+  EXPECT_EQ(MarkedLabels(cat, plan), std::vector<std::string>{"total"});
 }
 
 }  // namespace

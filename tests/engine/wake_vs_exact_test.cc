@@ -3,12 +3,21 @@
 // convergence guarantee, §4.5: the edf at t = 1 is the exact answer).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/error.h"
 
 #include "baseline/exact_engine.h"
 #include "core/engine.h"
 #include "engine/tpch_fixture.h"
+#include "plan/optimizer.h"
+#include "server/protocol.h"
+#include "sql/parser.h"
 #include "tpch/queries.h"
+#include "tpch/queries_sql.h"
 
 namespace wake {
 namespace {
@@ -35,6 +44,75 @@ TEST_P(TpchQueryEquality, FinalResultMatchesExactEngine) {
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, TpchQueryEquality,
                          ::testing::Range(1, 23),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return "Q" + std::to_string(info.param);
+                         });
+
+// The queries whose join build sides are fed by aggregates (Q15: its max
+// subquery). The demand pass marks the shuffle aggregates among them
+// final-only; every state the caller receives must still be
+// byte-identical at 1 and 4 workers, and the final must equal the exact
+// engine's answer. Q2's min-cost aggregate groups by partsupp's
+// clustering key, so it is a local aggregate streaming append partials
+// and nothing in Q2 is marked. Q2 also has merge joins, whose partials
+// follow input arrival order (src/exec/README.md), so its sequences are
+// compared with hash joins only.
+class FinalOnlyBuildSides : public ::testing::TestWithParam<int> {};
+
+struct DeliveredStates {
+  std::vector<std::pair<double, std::string>> states;  // progress, bytes
+  DataFramePtr final_frame;
+  size_t final_only_nodes = 0;
+};
+
+DeliveredStates RunAndRecord(const Plan& plan, size_t workers,
+                             bool force_hash_join) {
+  WakeOptions options;
+  options.workers = workers;
+  options.force_hash_join = force_hash_join;
+  WakeEngine engine(&testing::SharedTpch(), options);
+  std::unique_ptr<EngineRun> run = engine.Start(plan.node());
+  DeliveredStates out;
+  for (const auto& [label, final_only] : run->final_only_marks()) {
+    out.final_only_nodes += final_only ? 1 : 0;
+  }
+  run->Collect([&](const OlaState& s) {
+    wire::WireWriter w;
+    protocol::EncodeDataFrame(*s.frame, &w);
+    out.states.emplace_back(s.progress, w.Take());
+    if (s.is_final) out.final_frame = s.frame;
+  });
+  return out;
+}
+
+TEST_P(FinalOnlyBuildSides, StatesWorkerInvariantAndFinalExact) {
+  const Catalog& cat = testing::SharedTpch();
+  const int q = GetParam();
+  const std::vector<std::pair<std::string, Plan>> plans = {
+      {"hand-built", tpch::Query(q)},
+      {"sql", Optimize(sql::Parse(tpch::QuerySql(q)), cat)}};
+  for (const auto& [source, plan] : plans) {
+    SCOPED_TRACE(source);
+    DeliveredStates w1 = RunAndRecord(plan, 1, q == 2);
+    DeliveredStates w4 = RunAndRecord(plan, 4, q == 2);
+    EXPECT_EQ(w1.final_only_nodes > 0, q != 2);
+    EXPECT_EQ(w1.final_only_nodes, w4.final_only_nodes);
+    ASSERT_EQ(w1.states.size(), w4.states.size());
+    for (size_t i = 0; i < w1.states.size(); ++i) {
+      EXPECT_EQ(w1.states[i].first, w4.states[i].first) << "state " << i;
+      EXPECT_TRUE(w1.states[i].second == w4.states[i].second)
+          << "state " << i << " differs between 1 and 4 workers";
+    }
+    ASSERT_NE(w1.final_frame, nullptr);
+    std::string diff;
+    EXPECT_TRUE(w1.final_frame->ApproxEquals(
+        ExactEngine(&cat).Execute(plan.node()), 0.0, &diff))
+        << diff;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BuildSideAggregates, FinalOnlyBuildSides,
+                         ::testing::Values(2, 11, 13, 15, 17, 20, 22),
                          [](const ::testing::TestParamInfo<int>& info) {
                            return "Q" + std::to_string(info.param);
                          });

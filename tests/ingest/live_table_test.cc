@@ -124,6 +124,50 @@ TEST_F(LiveTableTest, AppendSealSnapshotLifecycle) {
   EXPECT_THROW(live.Append(bad), Error);
 }
 
+// Slices of one dict-encoded frame share its dict. The hot tablet holds
+// that dict once, so the byte threshold charges it once: N slices whose
+// real footprint is below seal_bytes stay hot until one explicit seal.
+TEST_F(LiveTableTest, SharedDictSlicesChargeTheDictOnce) {
+  constexpr int64_t kRows = 20000;
+  constexpr size_t kSlices = 8;
+  DataFrame whole(EventSchema());
+  *whole.mutable_column(0) = Column::NewDict();
+  for (int64_t i = 0; i < kRows; ++i) {
+    whole.mutable_column(0)->AppendString("distinct-key-" +
+                                          std::to_string(i));
+    whole.mutable_column(1)->AppendDouble(static_cast<double>(i));
+    whole.mutable_column(2)->AppendInt(i);
+  }
+  const size_t dict_bytes = whole.column(0).dict()->ByteSize();
+  std::vector<DataFrame> slices;
+  size_t charged_per_chunk = 0;  // every chunk charging the whole dict
+  size_t held = dict_bytes;      // what the hot tablet really holds
+  for (size_t s = 0; s < kSlices; ++s) {
+    slices.push_back(whole.Slice(s * kRows / kSlices,
+                                 (s + 1) * kRows / kSlices));
+    charged_per_chunk += slices.back().ByteSize();
+    held += slices.back().ByteSize() - dict_bytes;
+  }
+  LiveTableOptions opts;
+  opts.seal_rows = 0;
+  opts.seal_bytes = held + 1;
+  // Charging the dict per chunk would cross the threshold several times.
+  ASSERT_GT(charged_per_chunk, 2 * opts.seal_bytes);
+  LiveTable live("events", EventSchema(), opts);
+
+  for (const DataFrame& slice : slices) live.Append(slice);
+  LiveTableStats st = live.stats();
+  EXPECT_EQ(st.cold_tablets, 0u);
+  EXPECT_EQ(st.hot_chunks, kSlices);
+  EXPECT_EQ(st.hot_rows, static_cast<size_t>(kRows));
+
+  live.SealHot();
+  st = live.stats();
+  EXPECT_EQ(st.cold_tablets, 1u);
+  EXPECT_EQ(st.hot_chunks, 0u);
+  EXPECT_EQ(WireBytes(live.Snapshot()->Materialize()), WireBytes(whole));
+}
+
 // The tentpole acceptance matrix: at hot-only, mixed, and cold-only
 // tablet states, the standing query's snapshot must be byte-identical
 // to a from-scratch exact AND OLA query over the same tablet set, with

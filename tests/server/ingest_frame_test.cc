@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -196,9 +197,13 @@ TEST_F(IngestEndToEndTest, DrainingServerRefusesAppends) {
   bool refused = false;
   // The drain announcement races the next append; whichever way it
   // lands, no append may be silently dropped: each either acks (rows
-  // counted) or throws.
+  // counted) or throws. Appending goes on until a refusal or a deadline:
+  // a fast host can finish any fixed number of appends before the drain
+  // starts.
   uint64_t acked_rows = 4;
-  for (int i = 0; i < 50 && !refused; ++i) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!refused && std::chrono::steady_clock::now() < deadline) {
     try {
       IngestResult r = client.Ingest("events", MakeRows(0, 1));
       acked_rows += 1;

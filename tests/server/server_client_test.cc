@@ -5,6 +5,7 @@
 // needed; the network-fault sweeps live in tests/chaos/net_chaos_test.cc).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -156,8 +157,24 @@ TEST_F(ServerClientTest, QueueFullSurfacesRetryableWithHint) {
   server.Start();
   Client client(FastClient(server.port()));
 
-  RemoteQuery heavy = client.Submit(tpch::QuerySql(kHeavyQuery));
-  ASSERT_TRUE(heavy.Next().has_value()) << "heavy query produced no state";
+  // An in-process run on the same Db takes the only slot and keeps it
+  // while its state callback blocks, however fast the query itself runs.
+  std::atomic<bool> holding{false};
+  std::atomic<bool> release{false};
+  RunOptions hold;
+  hold.on_state = [&](const OlaState&) {
+    holding = true;
+    while (!release) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  QueryHandle heavy = db.Prepare(tpch::QuerySql(kHeavyQuery)).Run(hold);
+  // Declared after `heavy`: unblocks the callback on every exit path
+  // before the handle's destructor joins the run.
+  struct Unblock {
+    std::atomic<bool>& release;
+    ~Unblock() { release = true; }
+  } unblock{release};
+  ASSERT_TRUE(EventuallyMs(10000, [&] { return holding.load(); }))
+      << "heavy query produced no state";
   // The slot is taken and the queue is zero-depth: this submit must be
   // rejected with the retryable category and a backoff hint.
   RemoteQuery rejected = client.Submit(tpch::QuerySql(6));
@@ -169,6 +186,7 @@ TEST_F(ServerClientTest, QueueFullSurfacesRetryableWithHint) {
     EXPECT_TRUE(e.retryable());
     EXPECT_GT(e.retry_after_ms(), 0);
   }
+  release = true;
   heavy.Cancel();
   heavy.Wait();
   // Once the slot frees, Execute()'s retry loop recovers on its own.
