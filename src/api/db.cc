@@ -285,7 +285,7 @@ void QueryHandle::Cancel() {
   // A still-queued run dequeues immediately; an admitted one cancels
   // normally and frees its slot when the driver finishes.
   if (impl_->ticket != nullptr) impl_->db->admission()->Cancel(impl_->ticket);
-  // kExact / kProgressive poll the flag; the OLA graph needs its channels
+  // kExact / kProgressive poll the flag; the OLA graph needs its inboxes
   // cancelled so blocked node threads unwind. run_mu orders this against
   // the driver still creating the run — Run()-then-Cancel() before the
   // engine even started must still stop the query (the driver re-checks

@@ -5,7 +5,7 @@
 // provides the two pieces the engines share:
 //
 //  - ResourceTracker: one per running query. Operators charge/credit an
-//    atomic byte counter wherever partials materialize (channel queues,
+//    atomic byte counter wherever partials materialize (node inboxes,
 //    join build tables, aggregation accumulators, reader batches), the
 //    readers charge a rows-scanned counter, and poll points check a
 //    wall-clock deadline. The first limit crossed latches a BreachReason
@@ -69,7 +69,7 @@ const char* BreachReasonName(BreachReason reason);
 ///
 /// Release() ends accounting: it credits the parent for everything still
 /// outstanding (queued-but-undrained partials discarded by a cancelled
-/// channel never see their credit, so the query's terminal path settles
+/// inbox never see their credit, so the query's terminal path settles
 /// the balance) and detaches, after which all mutators are no-ops. Call
 /// it once, after every thread of the run has been joined.
 class ResourceTracker {

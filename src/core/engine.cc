@@ -22,7 +22,7 @@ WakeEngine::WakeEngine(const Catalog* catalog, WakeOptions options)
 
 void WakeEngine::Connect(const Compiled& in, ExecNode* consumer,
                          Demand demand, ConsumerEdges* edges) {
-  consumer->AddInput(in.node->ClaimOutput());
+  consumer->AddInput(in.node);
   (*edges)[in.node].push_back(
       {consumer, in.refresh ? demand : Demand::kEveryState});
 }
@@ -150,7 +150,7 @@ std::unique_ptr<EngineRun> WakeEngine::Start(const PlanNodePtr& plan) const {
   ConsumerEdges edges;
   Compiled root = CompileRec(plan, &run->nodes_, &memo, &edges);
   run->root_props_ = std::move(root.props);
-  run->channel_ = root.node->ClaimOutput();
+  root.node->Subscribe(run->inbox_, 0);
   edges[root.node].push_back({nullptr, Demand::kEveryState});
   MarkFinalOnly(run->nodes_, edges);
   run->trace_enabled_ = options_.trace;
@@ -170,7 +170,7 @@ std::unique_ptr<EngineRun> WakeEngine::Start(const PlanNodePtr& plan) const {
 
 EngineRun::~EngineRun() {
   // An uncollected run still has live node threads; cancel so they unwind
-  // instead of running the query to completion into a dead channel, then
+  // instead of running the query to completion into a dead inbox, then
   // let the nodes' destructors join them.
   if (!collected_) Cancel();
 }
@@ -178,6 +178,7 @@ EngineRun::~EngineRun() {
 void EngineRun::Cancel() {
   cancelled_.store(true, std::memory_order_release);
   for (auto& n : nodes_) n->RequestStop();
+  inbox_->Cancel();
 }
 
 void EngineRun::DegradeStop() {
@@ -232,12 +233,18 @@ void EngineRun::CollectImpl(const StateCallback& on_state) {
   std::shared_ptr<const VarianceMap> latest_vars;
   double progress = 0.0;
   bool got_any = false;
-  for (;;) {
+  bool eof = false;
+  while (!eof) {
     // Batched drain: one lock per burst of root-stream messages.
-    auto batch = channel_->ReceiveAll();
-    if (batch.empty()) break;  // closed/cancelled and drained
-    for (auto& msg : batch) {
+    auto batch = inbox_->ReceiveAll();
+    if (batch.empty()) break;  // cancelled
+    for (auto& entry : batch) {
       if (cancelled()) break;
+      if (entry.eof) {
+        eof = true;
+        break;
+      }
+      const Message& msg = entry.msg;
       if (tracker_ != nullptr && msg.frame != nullptr) {
         tracker_->Credit(msg.frame->ByteSize());
       }

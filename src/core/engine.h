@@ -12,7 +12,7 @@
 //                       clustering key (Case 1); ShuffleAggNode with
 //                       growth-based inference otherwise (Case 2)
 //  - sort/limit      -> SortLimitNode (Case 3 recompute)
-// Every node runs on its own thread; edges are unbounded channels (§7.2).
+// Every node runs on its own thread and reads one unbounded inbox (§7.2).
 //
 // Demand pass: before the threads start, a node is marked final-only
 // (ExecNode::SetFinalOnly) when every consumer reads only its last
@@ -99,10 +99,10 @@ using StateCallback = std::function<void(const OlaState&)>;
 /// thread management.
 ///
 /// Lifecycle: Start() spawns the node threads immediately. Exactly one
-/// thread then calls Collect(), which blocks until the root stream closes
-/// (completion or cancellation) and joins every node thread before
+/// thread then calls Collect(), which blocks until the root stream ends
+/// (its EOF, or cancellation) and joins every node thread before
 /// returning. Cancel() may be called from any thread at any time — it
-/// cancels every channel in the graph so all node threads unwind promptly
+/// cancels every inbox in the graph so all node threads unwind promptly
 /// without draining pending work; a cancelled run delivers no final
 /// state. Destroying an uncollected run cancels it and joins its threads.
 class EngineRun {
@@ -158,7 +158,7 @@ class EngineRun {
 
   std::vector<std::unique_ptr<ExecNode>> nodes_;
   PlanProps root_props_;
-  MessageChannelPtr channel_;  // claimed root output
+  InboxPtr inbox_ = std::make_shared<Inbox>();  // the root's one consumer
   bool trace_enabled_ = false;
   TraceLog trace_;
   Stopwatch clock_;  // runs from Start()

@@ -1,83 +1,63 @@
 #include "exec/exec_node.h"
 
-#include "common/error.h"
-
 namespace wake {
 
 ExecNode::ExecNode(std::string label)
-    : label_(std::move(label)),
-      merged_(std::make_shared<Channel<Tagged>>()) {
-  outputs_.push_back(std::make_shared<MessageChannel>());
-}
+    : label_(std::move(label)), inbox_(std::make_shared<Inbox>()) {}
 
 ExecNode::~ExecNode() { Join(); }
-
-void ExecNode::AddInput(MessageChannelPtr channel) {
-  CheckArg(channel != nullptr, "null input channel");
-  inputs_.push_back(std::move(channel));
-  ports_closed_.push_back(0);
-}
-
-MessageChannelPtr ExecNode::ClaimOutput() {
-  if (!primary_claimed_) {
-    primary_claimed_ = true;
-    return outputs_[0];
-  }
-  outputs_.push_back(std::make_shared<MessageChannel>());
-  return outputs_.back();
-}
 
 void ExecNode::Start(TraceLog* trace) {
   thread_ = std::thread([this, trace] { Run(trace); });
 }
 
 void ExecNode::Join() {
-  // The node thread owns forwarder creation, and a cancelled graph can be
-  // joined while Run() is still spawning them — join the node thread
-  // first so `forwarders_` is stable before it is iterated. The run loop
-  // never outlives its forwarders on the normal path (EOF markers) and
-  // exits independently of them on the cancelled path (channels are
-  // cancelled), so this order cannot deadlock.
   if (thread_.joinable()) thread_.join();
-  for (auto& f : forwarders_) {
-    if (f.joinable()) f.join();
-  }
 }
 
 void ExecNode::RequestStop() {
   stop_.store(true, std::memory_order_relaxed);
-  // Cancel every channel this node's threads can block on. Input channels
-  // are upstream nodes' outputs, so a graph-wide stop cancels each edge
-  // (harmlessly) from both ends.
-  for (auto& in : inputs_) in->Cancel();
-  merged_->Cancel();
-  for (auto& out : outputs_) out->Cancel();
+  inbox_->Cancel();
 }
 
-void ExecNode::CloseOutputs() {
-  for (auto& out : outputs_) out->Close();
+void ExecNode::Emit(Message msg) {
+  if (outputs_.empty()) return;
+  if (tracker_ != nullptr && msg.frame != nullptr) {
+    // One charge per destination edge; the consumer credits on drain.
+    tracker_->Charge(msg.frame->ByteSize() * outputs_.size());
+  }
+  for (size_t i = 0; i + 1 < outputs_.size(); ++i) {
+    outputs_[i].inbox->Send(InboxEntry{outputs_[i].port, false, msg});
+  }
+  outputs_.back().inbox->Send(
+      InboxEntry{outputs_.back().port, false, std::move(msg)});
 }
 
 void ExecNode::Run(TraceLog* trace) {
+  bool complete = false;
   try {
-    RunBody(trace);
+    complete = RunBody(trace);
+    if (complete) {
+      for (const Edge& out : outputs_) {
+        out.inbox->Send(InboxEntry{out.port, true, Message{}});
+      }
+    }
   } catch (...) {
     // A failing operator must not take the process down (node threads have
     // no caller to unwind into) and must not let downstream nodes Finish()
     // over silently truncated input as if it were complete. Latch the stop
-    // flag, unblock everyone touching this node's channels, and hand the
-    // error to the graph owner, who stops the rest of the graph and
-    // rethrows it to the driver.
+    // flag and hand the error to the graph owner, who stops the rest of
+    // the graph and rethrows it to the driver; the consumers' inboxes are
+    // cancelled below.
+    complete = false;
     stop_.store(true, std::memory_order_relaxed);
-    std::exception_ptr error = std::current_exception();
-    for (auto& in : inputs_) in->Cancel();
-    merged_->Cancel();
-    for (auto& out : outputs_) out->Cancel();
-    emit_buffering_ = false;
-    emit_buffer_.clear();
-    if (error_handler_) error_handler_(error);
+    inbox_->Cancel();
+    if (error_handler_) error_handler_(std::current_exception());
   }
-  CloseOutputs();
+  // An incomplete stream gets no EOF: its consumers unwind instead.
+  if (!complete) {
+    for (const Edge& out : outputs_) out.inbox->Cancel();
+  }
 }
 
 void ExecNode::SyncStateAccounting() {
@@ -87,104 +67,52 @@ void ExecNode::SyncStateAccounting() {
   }
 }
 
-void ExecNode::RunBody(TraceLog* trace) {
-  if (inputs_.empty()) {
+bool ExecNode::RunBody(TraceLog* trace) {
+  if (ports_closed_.empty()) {
     double t0 = trace ? trace->epoch().ElapsedSeconds() : 0.0;
     RunSource();
     if (trace) {
       trace->Record(label_, t0, trace->epoch().ElapsedSeconds());
     }
-    return;
+    return !stopped();
   }
 
-  // Multiplex all inputs into one internal queue; forwarders tag messages
-  // with their port and send a final EOF marker when their channel closes.
-  // Both hops are batched: one ReceiveAll per burst of queued partials,
-  // one SendAll (single lock, single wakeup) to re-enqueue the burst.
-  size_t ports = inputs_.size();
-  forwarders_.reserve(ports);
-  for (size_t p = 0; p < ports; ++p) {
-    forwarders_.emplace_back([this, p] {
-      try {
-        std::vector<Tagged> tagged;
-        for (;;) {
-          auto batch = inputs_[p]->ReceiveAll();
-          if (batch.empty()) break;  // closed/cancelled and drained
-          tagged.clear();
-          tagged.reserve(batch.size());
-          for (auto& msg : batch) {
-            tagged.push_back(Tagged{p, false, std::move(msg)});
-          }
-          merged_->SendAll(std::move(tagged));
-        }
-        merged_->Send(Tagged{p, true, Message{}});
-      } catch (...) {
-        // Same containment as Run(): without the EOF marker the run loop
-        // would wait on this port forever, so cancel the edge and report.
-        std::exception_ptr error = std::current_exception();
-        merged_->Cancel();
-        inputs_[p]->Cancel();
-        if (error_handler_) error_handler_(error);
-      }
-    });
-  }
-
-  size_t open_ports = ports;
+  size_t open_ports = ports_closed_.size();
   while (open_ports > 0 && !stopped()) {
-    // Drain whatever has accumulated, buffer the emits the batch
-    // produces, then flush them as one SendAll per output.
-    auto batch = merged_->ReceiveAll();
-    if (batch.empty()) break;  // cancelled (merged never closes at EOF)
-    emit_buffering_ = true;
-    for (auto& tagged : batch) {
+    // Drain whatever has accumulated: one lock per burst of entries.
+    auto batch = inbox_->ReceiveAll();
+    if (batch.empty()) return false;  // cancelled (the inbox never closes)
+    for (auto& entry : batch) {
       if (stopped()) break;  // drop the rest of the drained batch
       double t0 = trace ? trace->epoch().ElapsedSeconds() : 0.0;
-      if (tagged.eof) {
-        ports_closed_[tagged.port] = 1;
+      if (entry.eof) {
+        ports_closed_[entry.port] = 1;
         --open_ports;
-        OnInputClosed(tagged.port);
+        OnInputClosed(entry.port);
       } else {
-        if (tracker_ != nullptr && tagged.msg.frame != nullptr) {
+        if (tracker_ != nullptr && entry.msg.frame != nullptr) {
           // The partial left its queue; anything Process retains
           // reappears in the BufferedBytes sync below.
-          tracker_->Credit(tagged.msg.frame->ByteSize());
+          tracker_->Credit(entry.msg.frame->ByteSize());
         }
-        Process(tagged.port, tagged.msg);
+        Process(entry.port, entry.msg);
       }
       if (trace) {
         trace->Record(label_, t0, trace->epoch().ElapsedSeconds());
       }
-      if (open_ports == 0) break;
     }
-    emit_buffering_ = false;
-    FlushEmits();
     SyncStateAccounting();
   }
-  // A stopped node produces no final state: its output stream is already
-  // cancelled, and computing a last snapshot would delay shutdown.
-  if (!stopped()) {
-    double t0 = trace ? trace->epoch().ElapsedSeconds() : 0.0;
-    emit_buffering_ = true;
-    Finish();
-    emit_buffering_ = false;
-    FlushEmits();
-    SyncStateAccounting();
-    if (trace) {
-      trace->Record(label_ + ":finish", t0, trace->epoch().ElapsedSeconds());
-    }
+  // A stopped node produces no final state: its consumers are cancelled,
+  // and computing a last snapshot would delay shutdown.
+  if (stopped()) return false;
+  double t0 = trace ? trace->epoch().ElapsedSeconds() : 0.0;
+  Finish();
+  SyncStateAccounting();
+  if (trace) {
+    trace->Record(label_ + ":finish", t0, trace->epoch().ElapsedSeconds());
   }
-  emit_buffering_ = false;
-  emit_buffer_.clear();
-}
-
-void ExecNode::FlushEmits() {
-  if (emit_buffer_.empty()) return;
-  for (size_t i = 1; i < outputs_.size(); ++i) {
-    std::vector<Message> copy(emit_buffer_.begin(), emit_buffer_.end());
-    outputs_[i]->SendAll(std::move(copy));
-  }
-  outputs_[0]->SendAll(std::move(emit_buffer_));
-  emit_buffer_.clear();
+  return true;
 }
 
 }  // namespace wake

@@ -1,12 +1,13 @@
-// Execution node base class: one operator, one thread, message channels.
+// Execution node base class: one operator, one thread, one inbox.
 //
 // Per §7.2 of the paper, every node runs on its own thread, reads messages
-// from its input channels, updates its intrinsic state, and writes
-// extrinsic-state messages to its output channel. Nodes with several
-// inputs receive through an internal multiplexer (forwarder threads tag
-// messages with their port) so a slow input never blocks a ready one.
-// Channels are unbounded: Wake trades memory for pipeline liveness, the
-// cost the paper acknowledges in Table 1.
+// from its inputs, updates its intrinsic state, and writes extrinsic-state
+// messages to its consumers. A node's inputs all arrive in one inbox:
+// an edge is an (inbox, port) pair, a producer pushes each message
+// straight into every consumer's inbox tagged with that consumer's port,
+// and ends each edge with one EOF entry. Inboxes are unbounded: Wake
+// trades memory for pipeline liveness, the cost the paper acknowledges in
+// Table 1.
 #ifndef WAKE_EXEC_EXEC_NODE_H_
 #define WAKE_EXEC_EXEC_NODE_H_
 
@@ -24,8 +25,15 @@
 
 namespace wake {
 
-using MessageChannel = Channel<Message>;
-using MessageChannelPtr = std::shared_ptr<MessageChannel>;
+/// One inbox entry: a message on input `port`, or that port's EOF.
+struct InboxEntry {
+  size_t port = 0;
+  bool eof = false;
+  Message msg;
+};
+
+using Inbox = Channel<InboxEntry>;
+using InboxPtr = std::shared_ptr<Inbox>;
 
 /// Base class for all operators in a running query graph.
 class ExecNode {
@@ -36,31 +44,35 @@ class ExecNode {
   ExecNode(const ExecNode&) = delete;
   ExecNode& operator=(const ExecNode&) = delete;
 
-  void AddInput(MessageChannelPtr channel);
+  /// Adds the next input port of this node, fed by `producer`. Must be
+  /// called before Start() on either node.
+  void AddInput(ExecNode* producer) {
+    producer->Subscribe(inbox_, ports_closed_.size());
+    ports_closed_.push_back(0);
+  }
 
-  /// Primary output channel (for single-consumer wiring and tests).
-  const MessageChannelPtr& output() const { return outputs_[0]; }
-
-  /// Claims an output subscription. The first claim returns the primary
-  /// channel; later claims add broadcast channels, so one node can feed
-  /// several consumers — this implements the paper's shared-subplan
-  /// optimization (§7.3: reusing build tables / aggregates that appear
-  /// multiple times in a query). Must be called before Start().
-  MessageChannelPtr ClaimOutput();
+  /// Adds an output edge: every emitted message, and finally one EOF
+  /// entry, goes to `inbox` tagged with `port`. A node with several edges
+  /// broadcasts to all of them — the paper's shared-subplan optimization
+  /// (§7.3: reusing build tables / aggregates that appear multiple times
+  /// in a query). Must be called before Start().
+  void Subscribe(InboxPtr inbox, size_t port) {
+    outputs_.push_back({std::move(inbox), port});
+  }
 
   const std::string& label() const { return label_; }
 
   /// Attaches the per-query resource tracker (may be null). The node
-  /// charges emitted partials (per destination channel) and its own
-  /// operator state (BufferedBytes, re-measured per drained batch), and
+  /// charges emitted partials (per output edge) and its own operator
+  /// state (BufferedBytes, re-measured per drained batch), and
   /// credits messages as it consumes them — so the tracker sees
   /// queued-but-undrained partials plus live operator state. Must be
   /// called before Start().
   void SetResourceTracker(ResourceTracker* tracker) { tracker_ = tracker; }
 
-  /// Installs the graph-owner's node-failure hook. A node thread (or one
-  /// of its input forwarders) that exits via exception cancels its own
-  /// channels and reports here instead of terminating the process; the
+  /// Installs the graph-owner's node-failure hook. A node thread that
+  /// exits via exception stops itself, reports here instead of
+  /// terminating the process, and cancels its consumers' inboxes; the
   /// owner stops the rest of the graph and surfaces the error. May be
   /// invoked concurrently from several threads. Must be called before
   /// Start().
@@ -75,20 +87,18 @@ class ExecNode {
   void Join();
 
   /// Requests cooperative shutdown: sets the stop flag and cancels this
-  /// node's input, internal, and output channels so every thread blocked
-  /// on them (forwarders, the run loop, downstream consumers) unwinds
-  /// promptly without draining pending work. The run loop re-checks the
-  /// flag between messages, so in-flight Process calls finish their
-  /// current partial and then exit; Finish() is skipped on a stopped
-  /// node (no final snapshot is computed). Thread-safe and idempotent;
-  /// cancelling a whole graph means calling this on every node. Must only
-  /// be called after the graph is fully wired (all AddInput/ClaimOutput
-  /// done), i.e. on a started query.
+  /// node's inbox, so the run loop unwinds promptly without draining
+  /// pending work. The run loop re-checks the flag between messages, so
+  /// in-flight Process calls finish their current partial and then exit;
+  /// Finish() is skipped on a stopped node (no final snapshot is
+  /// computed), and its consumers' inboxes are cancelled instead of
+  /// receiving EOF. Thread-safe and idempotent; cancelling a whole graph
+  /// means calling this on every node.
   void RequestStop();
 
   /// Requests a *drain* stop — the graceful half of budget enforcement.
   /// Unlike RequestStop() nothing is cancelled: only source loops react
-  /// (they stop feeding the graph and close their outputs), EOF
+  /// (they stop feeding the graph and end their streams), EOF
   /// propagates, and every downstream node finishes normally over the
   /// truncated input — so the engine's last snapshot is a genuine
   /// best-estimate over the data processed so far, CI included.
@@ -117,36 +127,17 @@ class ExecNode {
   /// Called once when input `port` reaches EOF.
   virtual void OnInputClosed(size_t /*port*/) {}
 
-  /// Called after every input reached EOF, before the output closes.
+  /// Called after every input reached EOF, before the EOF entries go out.
   virtual void Finish() {}
 
   /// Source nodes (no inputs) override this instead of Process.
   virtual void RunSource() {}
 
-  /// Sends to every claimed output (frames are shared immutable pointers,
-  /// so broadcast is a cheap pointer copy). While the run loop is
-  /// processing a drained input batch, emits are buffered and flushed as
-  /// one SendAll per output at the end of the batch — one lock and one
-  /// consumer wakeup per burst instead of one per message. Source nodes
-  /// (RunSource) emit immediately so readers keep streaming partials.
-  void Emit(Message msg) {
-    if (tracker_ != nullptr && msg.frame != nullptr) {
-      // One charge per destination queue; the consumer credits on drain.
-      tracker_->Charge(msg.frame->ByteSize() * outputs_.size());
-    }
-    if (emit_buffering_) {
-      emit_buffer_.push_back(std::move(msg));
-      // Cap the buffer so a long drained batch (e.g. a join replaying
-      // its pending probes at build EOF) still streams to downstream
-      // nodes: the lock is amortized kEmitFlushBatch ways either way.
-      if (emit_buffer_.size() >= kEmitFlushBatch) FlushEmits();
-      return;
-    }
-    for (size_t i = 1; i < outputs_.size(); ++i) outputs_[i]->Send(msg);
-    outputs_[0]->Send(std::move(msg));
-  }
+  /// Pushes `msg` into every consumer's inbox at once (frames are shared
+  /// immutable pointers, so broadcast is a cheap pointer copy).
+  void Emit(Message msg);
 
-  size_t num_inputs() const { return inputs_.size(); }
+  size_t num_inputs() const { return ports_closed_.size(); }
   bool input_closed(size_t port) const { return ports_closed_[port]; }
 
   /// True once RequestStop() was called. Long-running operator bodies
@@ -166,34 +157,23 @@ class ExecNode {
   ResourceTracker* tracker() const { return tracker_; }
 
  private:
-  struct Tagged {
-    size_t port = 0;
-    bool eof = false;
-    Message msg;
+  struct Edge {
+    InboxPtr inbox;
+    size_t port;
   };
 
   void Run(TraceLog* trace);
-  void RunBody(TraceLog* trace);
-
-  void CloseOutputs();
+  /// Runs the source loop or the inbox loop (plus Finish); returns true
+  /// when the node ran to completion, false when it was stopped or its
+  /// inbox was cancelled.
+  bool RunBody(TraceLog* trace);
 
   /// Re-measures operator state and settles the delta with the tracker.
   void SyncStateAccounting();
 
-  /// Max messages buffered before Emit flushes mid-batch.
-  static constexpr size_t kEmitFlushBatch = 64;
-
-  /// Sends the buffered emits, one SendAll per output, in emit order.
-  void FlushEmits();
-
   std::string label_;
-  std::vector<MessageChannelPtr> inputs_;
-  std::vector<MessageChannelPtr> outputs_;  // [0] = primary
-  bool primary_claimed_ = false;
-  // Input multiplexer queue; a member (created eagerly) so RequestStop can
-  // cancel it from another thread while the run loop blocks on it.
-  std::shared_ptr<Channel<Tagged>> merged_;
-  std::vector<std::thread> forwarders_;
+  InboxPtr inbox_;
+  std::vector<Edge> outputs_;
   std::thread thread_;
   std::vector<uint8_t> ports_closed_;
   std::atomic<bool> stop_{false};
@@ -201,8 +181,6 @@ class ExecNode {
   ResourceTracker* tracker_ = nullptr;
   std::function<void(std::exception_ptr)> error_handler_;
   size_t accounted_state_bytes_ = 0;  // node-thread only
-  bool emit_buffering_ = false;
-  std::vector<Message> emit_buffer_;
   bool final_only_ = false;
 };
 

@@ -7,7 +7,8 @@
 //  - append  (refresh == false): frames accumulate; earlier rows are final.
 //  - refresh (refresh == true):  each frame is a complete snapshot that
 //    replaces everything previously received on this edge.
-// End-of-stream is signalled by closing the channel, the EOF of §7.2.
+// End-of-stream is a separate EOF entry per edge (exec/exec_node.h), the
+// EOF of §7.2.
 #ifndef WAKE_EXEC_MESSAGE_H_
 #define WAKE_EXEC_MESSAGE_H_
 
@@ -29,13 +30,6 @@ struct Message {
   /// Optional per-column variances of mutable attributes (§6).
   std::shared_ptr<const VarianceMap> variances;
 };
-
-/// Channel byte accounting: a queued message costs its frame (frames are
-/// shared immutable pointers, so broadcast edges each count the same
-/// frame — a deliberate overcount on the rare shared-subplan fan-outs).
-inline size_t ChannelItemBytes(const Message& msg) {
-  return msg.frame != nullptr ? msg.frame->ByteSize() : 0;
-}
 
 }  // namespace wake
 

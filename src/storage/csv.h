@@ -2,7 +2,7 @@
 //
 // The paper's user sessions start with read_csv (§1, §3.1); this module
 // provides the comma-separated path next to the pipe-separated .tbl and
-// binary .wpart formats. Quoting rules: fields containing commas, quotes,
+// binary wakeblock formats. Quoting rules: fields containing commas, quotes,
 // or newlines are double-quoted; embedded quotes are doubled.
 #ifndef WAKE_STORAGE_CSV_H_
 #define WAKE_STORAGE_CSV_H_

@@ -7,9 +7,9 @@
 // clustering-key value never straddles two partitions — which is what makes
 // clustering-key aggregations local operations (Case 1, §2.2).
 //
-// Two serialization formats are provided: a pipe-separated text format
-// (TPC-H .tbl-compatible) and `.wpart`, a little-endian binary columnar
-// format standing in for Parquet.
+// Serialization: a pipe-separated text format (TPC-H .tbl-compatible)
+// lives here; the binary columnar format is wakeblock (storage/wakeblock.h),
+// which OpenWakeblock opens lazily.
 #ifndef WAKE_STORAGE_PARTITIONED_TABLE_H_
 #define WAKE_STORAGE_PARTITIONED_TABLE_H_
 
@@ -137,15 +137,6 @@ class PartitionedTable {
                                      const std::string& name,
                                      const std::vector<std::string>& columns =
                                          {});
-
-  /// Binary columnar format, one `<name>.<i>.wpart` per partition.
-  /// Projected reads seek past unselected fixed-width columns and skip
-  /// string columns record-by-record without interning them.
-  void WriteWpartDir(const std::string& dir) const;
-  static PartitionedTable ReadWpartDir(const std::string& dir,
-                                       const std::string& name,
-                                       const std::vector<std::string>&
-                                           columns = {});
 
  private:
   /// Maps a composite table's global chunk index to (segment, local

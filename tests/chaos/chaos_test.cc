@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -125,8 +126,8 @@ TEST_F(ChaosTest, JoinBuildFaultPropagatesThroughTheGraph) {
 }
 
 TEST_F(ChaosTest, ChannelDelaysDoNotChangeResults) {
-  // Slow every channel send: pure latency, no reordering the merge layer
-  // can't absorb — results stay exact.
+  // Slow every channel send: pure latency, each port's messages still
+  // arrive in send order — results stay exact.
   failpoint::Configure("channel.send", "delay(1ms)");
   Db db(&cat_);
   PreparedQuery q = db.Prepare(tpch::QuerySql(6));
@@ -135,6 +136,56 @@ TEST_F(ChaosTest, ChannelDelaysDoNotChangeResults) {
   failpoint::Reset();
   std::string diff;
   EXPECT_TRUE(got.ApproxEquals(q.Execute(), 0.0, &diff)) << diff;
+}
+
+TEST_F(ChaosTest, ChannelSendFaultsEndInAFinalOrOneExecutionError) {
+  // channel.send fires in every node emit and EOF delivery (and in the
+  // handle's state stream). A fault there must unwind the producer's node
+  // thread, cancel its consumers, and surface once: every handle ends
+  // with the exact final answer or one kExecution error, and nothing
+  // hangs or escapes a node thread. Q3 joins three inputs; Q17 has
+  // final-only build sides.
+  Db db(&cat_);
+  std::vector<PreparedQuery> queries{db.Prepare(tpch::QuerySql(3)),
+                                     db.Prepare(tpch::QuerySql(17))};
+  std::vector<DataFrame> exact;
+  for (PreparedQuery& q : queries) exact.push_back(q.Execute());
+
+  // Configured once: the draw counter runs on across iterations, so the
+  // faults land at a different send each time.
+  failpoint::Configure("channel.send", "error(0.005)");
+  const int iters = ChaosIterations();
+  std::vector<int> finals(queries.size()), errors(queries.size());
+  for (int iter = 0; iter < iters; ++iter) {
+    std::vector<QueryHandle> handles;
+    for (PreparedQuery& q : queries) handles.push_back(q.Run());
+    for (size_t i = 0; i < handles.size(); ++i) {
+      handles[i].Wait();
+      ASSERT_TRUE(handles[i].done()) << "iteration " << iter;
+      try {
+        DataFrame got = handles[i].Final();
+        std::string diff;
+        EXPECT_TRUE(got.ApproxEquals(exact[i], 0.0, &diff))
+            << "iteration " << iter << ": " << diff;
+        ++finals[i];
+      } catch (const Error& e) {
+        EXPECT_EQ(e.category(), ErrorCategory::kExecution)
+            << "iteration " << iter << ": " << e.what();
+        ++errors[i];
+      }
+      while (handles[i].Next(std::chrono::milliseconds(100))) {
+      }
+    }
+  }
+  EXPECT_GT(failpoint::Hits("channel.send"), 0u);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    std::printf("channel.send faults, query %zu: %d finals, %d errors\n", i,
+                finals[i], errors[i]);
+    EXPECT_EQ(finals[i] + errors[i], iters);
+    // Both ends occur: the fault rate lets some runs finish.
+    EXPECT_GT(errors[i], 0);
+    EXPECT_GT(finals[i], 0);
+  }
 }
 
 TEST_F(ChaosTest, WorkerPoolDispatchFaultIsCapturedNotFatal) {

@@ -254,25 +254,46 @@ std::string WireBytes(const DataFrame& df) {
   return w.Take();
 }
 
-/// Runs `node` alone: feeds `inputs` through one channel, closes it
-/// (drain-stopping the node first when asked), and returns every message
-/// the node sent.
+/// Feeds a fixed list of messages, then its EOF.
+class FeedNode : public ExecNode {
+ public:
+  explicit FeedNode(std::vector<Message> msgs)
+      : ExecNode("feed"), msgs_(std::move(msgs)) {}
+
+ protected:
+  void Process(size_t, const Message&) override {}
+  void RunSource() override {
+    for (const Message& msg : msgs_) Emit(msg);
+  }
+
+ private:
+  std::vector<Message> msgs_;
+};
+
+/// Runs `node` alone: feeds `inputs` into its one port, then that port's
+/// EOF (drain-stopping the node first when asked), and returns every
+/// message the node sent.
 std::vector<Message> RunAlone(ExecNode* node,
                               const std::vector<Message>& inputs,
                               bool drain_stop = false) {
-  auto in = std::make_shared<MessageChannel>();
-  node->AddInput(in);
-  MessageChannelPtr out = node->ClaimOutput();
+  FeedNode feed(inputs);
+  node->AddInput(&feed);
+  auto out = std::make_shared<Inbox>();
+  node->Subscribe(out, 0);
   if (drain_stop) node->RequestDrainStop();
   node->Start(nullptr);
-  for (const Message& msg : inputs) in->Send(msg);
-  in->Close();
+  feed.Start(nullptr);
   std::vector<Message> sent;
-  for (;;) {
+  bool eof = false;
+  while (!eof) {
     auto batch = out->ReceiveAll();
     if (batch.empty()) break;
-    for (auto& msg : batch) sent.push_back(std::move(msg));
+    for (auto& entry : batch) {
+      eof |= entry.eof;
+      if (!entry.eof) sent.push_back(std::move(entry.msg));
+    }
   }
+  feed.Join();
   node->Join();
   return sent;
 }
