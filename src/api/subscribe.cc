@@ -8,7 +8,9 @@
 // [0,c) in one pass. So each Refresh() consumes only the rows between
 // its watermark and the snapshot's end, and the finalized frame equals
 // what the exact engine would produce from scratch over the same
-// snapshot.
+// snapshot. The Filter/Map/SortLimit chains below and above the aggregate
+// run through the exact engine's own operator step (ApplyUnaryOp), so the
+// two cannot drift apart.
 #include <algorithm>
 #include <condition_variable>
 #include <exception>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "api/db.h"
+#include "baseline/exact_engine.h"
 #include "common/error.h"
 #include "core/agg_state.h"
 #include "ingest/live_table.h"
@@ -28,34 +31,8 @@ namespace wake {
 
 namespace {
 
-// Applies a Filter/Map/SortLimit chain to a materialized frame, exactly
-// as the exact engine evaluates those operators.
-DataFrame ApplyOps(DataFrame in, const std::vector<PlanNodePtr>& ops) {
-  for (const auto& node : ops) {
-    switch (node->op) {
-      case PlanOp::kFilter:
-        in = in.FilterBy(node->predicate->Eval(in));
-        break;
-      case PlanOp::kMap: {
-        DataFrame out;
-        if (node->append_input) out = in;
-        for (const auto& p : node->projections) {
-          Column c = p.expr->Eval(in);
-          out.AddColumn(Field(p.name, c.type()), std::move(c));
-        }
-        in = std::move(out);
-        break;
-      }
-      case PlanOp::kSortLimit: {
-        DataFrame sorted = in.SortBy(node->sort_keys);
-        in = node->limit > 0 ? sorted.Head(node->limit) : std::move(sorted);
-        break;
-      }
-      default:
-        throw Error("unsupported operator in standing query",
-                    ErrorCategory::kPlan);
-    }
-  }
+DataFrame ApplyChain(DataFrame in, const std::vector<PlanNodePtr>& ops) {
+  for (const auto& node : ops) in = ApplyUnaryOp(*node, std::move(in));
   return in;
 }
 
@@ -145,7 +122,7 @@ struct Subscription::Impl {
     watermark = snap.end_row;
 
     if (delta.num_rows() > 0) {
-      DataFrame in = ApplyOps(std::move(delta), pre_ops);
+      DataFrame in = ApplyChain(std::move(delta), pre_ops);
       if (state == nullptr) {
         Schema agg_out = AggOutputSchema(in.schema(), agg->group_by, agg->aggs);
         state = std::make_unique<GroupedAggState>(agg->group_by, agg->aggs,
@@ -156,8 +133,8 @@ struct Subscription::Impl {
     }
 
     DataFrame out = state != nullptr
-                        ? ApplyOps(state->Finalize(AggScaling{}).frame,
-                                   post_ops)
+                        ? ApplyChain(state->Finalize(AggScaling{}).frame,
+                                     post_ops)
                         : DataFrame(output_schema);  // nothing ingested yet
     last.epoch = snap.epoch;
     last.rows_covered = snap.end_row;

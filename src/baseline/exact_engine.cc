@@ -7,6 +7,34 @@
 
 namespace wake {
 
+DataFrame ApplyUnaryOp(const PlanNode& node, DataFrame in) {
+  switch (node.op) {
+    case PlanOp::kFilter:
+      // Selection-kernel filter off the evaluated predicate column.
+      return in.FilterBy(node.predicate->Eval(in));
+    case PlanOp::kMap: {
+      // Every projection reads the input, never a sibling projection.
+      DataFrame out;
+      for (const auto& p : node.projections) {
+        Column c = p.expr->Eval(in);
+        out.AddColumn(Field(p.name, c.type()), std::move(c));
+      }
+      if (!node.append_input) return out;
+      for (size_t i = 0; i < out.num_columns(); ++i) {
+        in.AddColumn(out.schema().field(i),
+                     std::move(*out.mutable_column(i)));
+      }
+      return in;
+    }
+    case PlanOp::kSortLimit:
+      // The rows SortLimitNode emits: the stable sort's first `limit`.
+      return in.Take(in.SortedIndices(node.sort_keys, node.limit));
+    default:
+      throw Error("not a single-input row operator: " + node.label,
+                  ErrorCategory::kPlan);
+  }
+}
+
 DataFrame ExactEngine::Execute(const PlanNodePtr& plan) const {
   peak_bytes_ = 0;
   return Eval(plan);
@@ -35,30 +63,11 @@ DataFrame ExactEngine::Eval(const PlanNodePtr& node) const {
       if (tracker_ != nullptr) tracker_->ChargeRows(result.num_rows());
       break;
     }
-    case PlanOp::kMap: {
-      DataFrame in = Eval(node->inputs[0]);
-      DataFrame out;
-      if (node->append_input) {
-        out = in;
-        for (const auto& p : node->projections) {
-          Column c = p.expr->Eval(in);
-          out.AddColumn(Field(p.name, c.type()), std::move(c));
-        }
-      } else {
-        for (const auto& p : node->projections) {
-          Column c = p.expr->Eval(in);
-          out.AddColumn(Field(p.name, c.type()), std::move(c));
-        }
-      }
-      result = std::move(out);
+    case PlanOp::kMap:
+    case PlanOp::kFilter:
+    case PlanOp::kSortLimit:
+      result = ApplyUnaryOp(*node, Eval(node->inputs[0]));
       break;
-    }
-    case PlanOp::kFilter: {
-      DataFrame in = Eval(node->inputs[0]);
-      // Selection-kernel filter off the evaluated predicate column.
-      result = in.FilterBy(node->predicate->Eval(in));
-      break;
-    }
     case PlanOp::kJoin: {
       DataFrame left = Eval(node->inputs[0]);
       DataFrame right = Eval(node->inputs[1]);
@@ -76,12 +85,6 @@ DataFrame ExactEngine::Eval(const PlanNodePtr& node) const {
                             out_schema);
       state.Consume(in);
       result = state.Finalize(AggScaling{}).frame;
-      break;
-    }
-    case PlanOp::kSortLimit: {
-      DataFrame in = Eval(node->inputs[0]);
-      DataFrame sorted = in.SortBy(node->sort_keys);
-      result = node->limit > 0 ? sorted.Head(node->limit) : std::move(sorted);
       break;
     }
   }

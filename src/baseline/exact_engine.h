@@ -5,7 +5,9 @@
 // every operator fully materializes its input before producing output, and
 // no estimates are ever produced. It shares the aggregation and join
 // kernels with Wake, so result equality tests isolate exactly the OLA
-// machinery.
+// machinery. Its single-input row operators (Filter, Map, SortLimit) are
+// one function, ApplyUnaryOp, which standing queries reuse; its top-k
+// takes the same SortedIndices rows as Wake's SortLimitNode.
 #ifndef WAKE_BASELINE_EXACT_ENGINE_H_
 #define WAKE_BASELINE_EXACT_ENGINE_H_
 
@@ -16,6 +18,13 @@
 #include "storage/partitioned_table.h"
 
 namespace wake {
+
+/// Applies one single-input Filter, Map or SortLimit node to a
+/// materialized frame. ExactEngine evaluates those operators through it,
+/// and so do standing queries (Db::Subscribe) over their pre- and
+/// post-aggregate chains. Throws wake::Error(kPlan) for any other
+/// operator.
+DataFrame ApplyUnaryOp(const PlanNode& node, DataFrame in);
 
 /// Blocking plan evaluator.
 class ExactEngine {

@@ -167,6 +167,8 @@ namespace {
 
 // Numeric binary arithmetic over two evaluated columns.
 Column EvalArith(ArithOp op, const Column& l, const Column& r) {
+  CheckArg(IsNumeric(l.type()) && IsNumeric(r.type()),
+           "arithmetic over a string");
   size_t n = l.size();
   bool to_double = op == ArithOp::kDiv || l.type() == ValueType::kFloat64 ||
                    r.type() == ValueType::kFloat64;
@@ -277,8 +279,12 @@ Column EvalCompare(CompareOp op, const Column& l, const Column& r) {
     }
     return out;
   }
+  // A string only orders against a string; against a number only a null
+  // row (false) is defined.
+  const bool mixed = l.type() != r.type();
   for (size_t i = 0; i < n; ++i) {
     if (l.IsNull(i) || r.IsNull(i)) continue;  // null compare -> false
+    if (mixed) throw Error("comparison between a string and a number");
     int c = l.CompareRows(i, r, i);
     bool b = false;
     switch (op) {
@@ -298,6 +304,7 @@ Column EvalCompare(CompareOp op, const Column& l, const Column& r) {
 // words: one autovectorizable packing pass, then logic ops combine whole
 // words instead of branching per row.
 void TruthWords(const Column& c, size_t n, std::vector<uint64_t>* out) {
+  CheckArg(IsIntPhysical(c.type()), "logical operator over a non-boolean");
   out->assign(ValidityBitmap::WordsFor(n), 0);
   const int64_t* v = c.ints().data();
   for (size_t i = 0; i < n; ++i) {
@@ -424,8 +431,12 @@ Column Expr::Eval(const DataFrame& df) const {
     }
     case ExprKind::kCase: {
       Column cond = children_[0]->Eval(df);
+      CheckArg(IsIntPhysical(cond.type()), "CASE over a non-boolean");
       Column t = children_[1]->Eval(df);
       Column f = children_[2]->Eval(df);
+      CheckArg((t.type() == ValueType::kString) ==
+                   (f.type() == ValueType::kString),
+               "CASE branches mix a string and a number");
       bool to_double = t.type() == ValueType::kFloat64 ||
                        f.type() == ValueType::kFloat64;
       Column out(to_double ? ValueType::kFloat64 : t.type());
@@ -479,6 +490,7 @@ Column Expr::Eval(const DataFrame& df) const {
     }
     case ExprKind::kYear: {
       Column c = children_[0]->Eval(df);
+      CheckArg(IsIntPhysical(c.type()), "YEAR over a non-date");
       Column out(ValueType::kInt64);
       auto& v = *out.mutable_ints();
       v.resize(n);

@@ -10,6 +10,13 @@
 // Null semantics: arithmetic/comparison propagate null; logical AND/OR treat
 // null as false (sufficient for TPC-H, where nulls arise only from left
 // joins and are consumed via Coalesce / count).
+//
+// Type errors throw wake::Error instead of reading the wrong storage:
+// arithmetic over a string, a string ordered against a number, LIKE and
+// SUBSTR over a number, YEAR, logic and a CASE condition over a float or
+// a string, and CASE branches mixing a string and a number. The
+// optimizer's constant folding relies on this to leave such nodes for
+// runtime to report.
 #ifndef WAKE_FRAME_EXPR_H_
 #define WAKE_FRAME_EXPR_H_
 

@@ -7,8 +7,8 @@
 // These passes close that gap so any parsed query runs at hand-tuned
 // speed:
 //
-//   fold-constants      evaluates literal-only subexpressions and removes
-//                       trivially-true filters
+//   fold-constants      evaluates literal-only subexpressions through
+//                       Expr::Eval and removes trivially-true filters
 //   push-filters        splits conjunctions and pushes each conjunct
 //                       through maps / joins / aggregations down to the
 //                       operator that owns its columns (respecting
@@ -77,7 +77,8 @@ PlanNodePtr ProjectScansPass(const PlanNodePtr& plan, const Catalog& catalog);
 PlanNodePtr PushScanFiltersPass(const PlanNodePtr& plan,
                                 const Catalog& catalog);
 
-/// Constant-folds one expression tree (returns the original pointer when
+/// Constant-folds one expression tree: literal-only nodes become the
+/// literal Expr::Eval yields for them (returns the original pointer when
 /// nothing folds). Exposed for tests.
 ExprPtr FoldExpr(const ExprPtr& expr);
 

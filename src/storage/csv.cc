@@ -25,6 +25,8 @@ std::string QuoteField(const std::string& field) {
   return out;
 }
 
+}  // namespace
+
 char TypeChar(ValueType t) {
   switch (t) {
     case ValueType::kInt64: return 'i';
@@ -44,7 +46,7 @@ ValueType TypeFromChar(char c) {
     case 'd': return ValueType::kDate;
     case 'b': return ValueType::kBool;
   }
-  throw Error(std::string("bad CSV type char: ") + c);
+  throw Error(std::string("bad type char: ") + c);
 }
 
 std::string FieldText(const Column& col, size_t row) {
@@ -61,7 +63,23 @@ std::string FieldText(const Column& col, size_t row) {
   }
 }
 
-}  // namespace
+void AppendFieldText(ValueType type, const std::string& text, Column* col) {
+  switch (type) {
+    case ValueType::kInt64:
+    case ValueType::kBool:
+      col->AppendInt(std::stoll(text));
+      break;
+    case ValueType::kFloat64:
+      col->AppendDouble(std::stod(text));
+      break;
+    case ValueType::kString:
+      col->AppendString(text);
+      break;
+    case ValueType::kDate:
+      col->AppendInt(ParseDate(text));
+      break;
+  }
+}
 
 bool ParseCsvRecord(const std::string& content, size_t* offset,
                     std::vector<std::string>* fields,
@@ -214,21 +232,7 @@ DataFrame ReadCsvImpl(const std::string& path, const Schema* given_schema,
         col->AppendNull();
         continue;
       }
-      switch (full.field(c).type) {
-        case ValueType::kInt64:
-        case ValueType::kBool:
-          col->AppendInt(std::stoll(text));
-          break;
-        case ValueType::kFloat64:
-          col->AppendDouble(std::stod(text));
-          break;
-        case ValueType::kString:
-          col->AppendString(text);
-          break;
-        case ValueType::kDate:
-          col->AppendInt(ParseDate(text));
-          break;
-      }
+      AppendFieldText(full.field(c).type, text, col);
     }
   }
   return df;

@@ -40,6 +40,20 @@ bool ParseCsvRecord(const std::string& content, size_t* offset,
                     std::vector<std::string>* fields,
                     std::vector<uint8_t>* quoted = nullptr);
 
+/// --- field text, shared with the .tbl format (partitioned_table.h) ---
+
+/// One-letter type tag (`i f s d b`) of a header or meta field, and its
+/// inverse (throws wake::Error on an unknown letter).
+char TypeChar(ValueType t);
+ValueType TypeFromChar(char c);
+
+/// Unquoted text of one cell: empty for NULL, `%.17g` for doubles (so
+/// they read back bit-exact), `YYYY-MM-DD` for dates.
+std::string FieldText(const Column& col, size_t row);
+
+/// Parses one non-empty field as `type` and appends it to `col`.
+void AppendFieldText(ValueType type, const std::string& text, Column* col);
+
 }  // namespace wake
 
 #endif  // WAKE_STORAGE_CSV_H_

@@ -8,12 +8,10 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "common/strings.h"
+#include "storage/csv.h"
 
 namespace wake {
 
-namespace {
-
-// Returns true if rows r-1 and r of `df` agree on every clustering column.
 bool SameClusterKey(const DataFrame& df, const std::vector<size_t>& cols,
                     size_t r) {
   for (size_t c : cols) {
@@ -21,8 +19,6 @@ bool SameClusterKey(const DataFrame& df, const std::vector<size_t>& cols,
   }
   return true;
 }
-
-}  // namespace
 
 PartitionedTable PartitionedTable::FromDataFrame(std::string name,
                                                  const DataFrame& df,
@@ -257,28 +253,6 @@ PartitionedTable PartitionedTable::SelectColumns(
 
 namespace {
 
-char TypeChar(ValueType t) {
-  switch (t) {
-    case ValueType::kInt64: return 'i';
-    case ValueType::kFloat64: return 'f';
-    case ValueType::kString: return 's';
-    case ValueType::kDate: return 'd';
-    case ValueType::kBool: return 'b';
-  }
-  return '?';
-}
-
-ValueType TypeFromChar(char c) {
-  switch (c) {
-    case 'i': return ValueType::kInt64;
-    case 'f': return ValueType::kFloat64;
-    case 's': return ValueType::kString;
-    case 'd': return ValueType::kDate;
-    case 'b': return ValueType::kBool;
-  }
-  throw Error(std::string("bad type char: ") + c);
-}
-
 void WriteMeta(const std::string& path, const PartitionedTable& table) {
   std::ofstream out(path);
   CheckArg(out.good(), "cannot write " + path);
@@ -337,18 +311,7 @@ void PartitionedTable::WriteTblDir(const std::string& dir) const {
     for (size_t r = 0; r < df.num_rows(); ++r) {
       for (size_t c = 0; c < df.num_columns(); ++c) {
         if (c > 0) out << '|';
-        const Column& col = df.column(c);
-        if (col.IsNull(r)) {
-          // empty field == null; TPC-H data itself has no nulls.
-        } else if (col.type() == ValueType::kFloat64) {
-          out << StrFormat("%.9g", col.DoubleAt(r));
-        } else if (col.type() == ValueType::kString) {
-          out << col.StringAt(r);
-        } else if (col.type() == ValueType::kDate) {
-          out << FormatDate(col.IntAt(r));
-        } else {
-          out << col.IntAt(r);
-        }
+        out << FieldText(df.column(c), r);  // empty field == null
       }
       out << '\n';
     }
@@ -392,21 +355,7 @@ PartitionedTable PartitionedTable::ReadTblDir(
           col->AppendNull();
           continue;
         }
-        switch (full.field(f).type) {
-          case ValueType::kInt64:
-          case ValueType::kBool:
-            col->AppendInt(std::stoll(text));
-            break;
-          case ValueType::kFloat64:
-            col->AppendDouble(std::stod(text));
-            break;
-          case ValueType::kString:
-            col->AppendString(text);
-            break;
-          case ValueType::kDate:
-            col->AppendInt(ParseDate(text));
-            break;
-        }
+        AppendFieldText(full.field(f).type, text, col);
       }
     }
     table.AddPartition(std::move(df));

@@ -198,6 +198,11 @@ class Catalog {
 /// format; throws if the directory holds no tables.
 Catalog OpenTblCatalog(const std::string& dir);
 
+/// True if rows r-1 and r of `df` agree on every column in `cols` (the
+/// clustering key): partitions and wakeblock blocks never split there.
+bool SameClusterKey(const DataFrame& df, const std::vector<size_t>& cols,
+                    size_t r);
+
 }  // namespace wake
 
 #endif  // WAKE_STORAGE_PARTITIONED_TABLE_H_

@@ -168,7 +168,8 @@ void DecodeValues(uint8_t encoding, const uint8_t* payload, size_t len,
   switch (encoding) {
     case kEncodingRaw:
       Check(len == rows * 8, "raw payload length mismatch");
-      std::memcpy(out->data(), payload, len);
+      // An empty block leaves out->data() null, which memcpy forbids.
+      if (len > 0) std::memcpy(out->data(), payload, len);
       break;
     case kEncodingRle: {
       wire::WireReader r(payload, len);
@@ -235,8 +236,6 @@ bool SafeFieldName(const std::string& name) {
   return true;
 }
 
-char TypeChar(ValueType t) { return static_cast<char>(t); }
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -250,15 +249,6 @@ struct BlockSpan {
   size_t begin;
   size_t rows;
 };
-
-// True if rows r-1 and r of `df` agree on every clustering column.
-bool SameClusterKey(const DataFrame& df, const std::vector<size_t>& cols,
-                    size_t r) {
-  for (size_t c : cols) {
-    if (df.column(c).CompareRows(r - 1, df.column(c), r) != 0) return false;
-  }
-  return true;
-}
 
 // Splits every partition into blocks of ~block_rows rows. Block
 // boundaries respect partition edges and (like FromDataFrame) are pushed
@@ -487,7 +477,7 @@ void Write(const PartitionedTable& table, const std::string& dir,
   payload.U32(static_cast<uint32_t>(schema.num_fields()));
   for (const auto& f : schema.fields()) {
     payload.Str(f.name);
-    payload.U8(static_cast<uint8_t>(TypeChar(f.type)));
+    payload.U8(static_cast<uint8_t>(f.type));
     payload.U8(f.mutable_attr ? 1 : 0);
   }
   payload.U32(static_cast<uint32_t>(schema.primary_key().size()));
@@ -767,7 +757,7 @@ Column BlockTable::DecodeColumnBlock(size_t field, size_t b) const {
     // rarely pack, so this is the common case for measure columns).
     Check(h.payload_len == rows * 8, "raw payload length mismatch");
     std::vector<double> doubles(rows);
-    std::memcpy(doubles.data(), payload, h.payload_len);
+    if (rows > 0) std::memcpy(doubles.data(), payload, h.payload_len);
     *out.mutable_doubles() = std::move(doubles);
     if (h.null_count > 0) out.set_validity(std::move(valid));
     return out;

@@ -1,130 +1,85 @@
-// The user-facing edf API (§3): closure under operations, live results,
-// get()/get_final() semantics.
-#include "core/edf.h"
-
-#include "common/error.h"
+// The edf closure (§3) over Plan + Db: every operation on a plan yields a
+// plan, a deep analysis session matches the exact engine, and a live handle
+// streams converging states to the final result.
+#include "api/db.h"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <thread>
+#include <optional>
 
 #include "baseline/exact_engine.h"
+#include "common/error.h"
 #include "engine/tpch_fixture.h"
-#include "tpch/queries.h"
 
 namespace wake {
 namespace {
 
 TEST(EdfTest, ReadValidatesTableName) {
-  EdfSession session(&testing::SharedTpch());
-  EXPECT_NO_THROW(session.Read("lineitem"));
-  EXPECT_THROW(session.Read("bogus"), Error);
+  Db db(&testing::SharedTpch());
+  EXPECT_NO_THROW(db.Prepare(Plan::Scan("lineitem")));
+  try {
+    db.Prepare(Plan::Scan("bogus"));
+    FAIL() << "expected plan error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kPlan);
+  }
 }
 
 TEST(EdfTest, ClosureUnderOperations) {
-  // Every op on an edf yields another edf; the chain builds a plan tree.
-  EdfSession session(&testing::SharedTpch());
-  Edf result = session.Read("lineitem")
+  // A chain of operations builds one plan tree; a top-k sort caps the final.
+  Plan chain = Plan::Scan("lineitem")
                    .Filter(Gt(Expr::Col("l_quantity"), Expr::Float(10.0)))
-                   .Sum("l_quantity", {"l_orderkey"})
-                   .Filter(Gt(Expr::Col("sum_l_quantity"), Expr::Float(50.0)))
-                   .Sort({{"sum_l_quantity", true}}, 5);
-  EXPECT_EQ(result.plan().node()->op, PlanOp::kSortLimit);
-  DataFrame final_frame = result.GetFinal();
+                   .Aggregate({"l_orderkey"}, {Sum("l_quantity", "qty")})
+                   .Filter(Gt(Expr::Col("qty"), Expr::Float(50.0)))
+                   .Sort({{"qty", true}}, 5);
+  EXPECT_EQ(chain.node()->op, PlanOp::kSortLimit);
+  Db db(&testing::SharedTpch());
+  DataFrame final_frame = db.Prepare(chain).Execute();
+  EXPECT_GT(final_frame.num_rows(), 0u);
   EXPECT_LE(final_frame.num_rows(), 5u);
 }
 
 TEST(EdfTest, PaperSessionQ18Style) {
-  // The §1 analysis session: deep OLA over a local agg, filter, two joins,
-  // a shuffle agg, and a sort.
+  // The §1 analysis session: deep OLA over a local aggregate, a filter,
+  // two joins, a shuffle aggregate, and a sort.
   const Catalog& cat = testing::SharedTpch();
-  EdfSession session(&cat);
-  Edf lineitem = session.Read("lineitem");
-  Edf order_qty = lineitem.Sum("l_quantity", {"l_orderkey"});
-  Edf lg_orders = order_qty.Filter(
-      Gt(Expr::Col("sum_l_quantity"), Expr::Float(150.0)));
-  Edf joined = lg_orders
-                   .Join(session.Read("orders").Project(
-                             {"o_orderkey", "o_custkey"}),
-                         {"l_orderkey"}, {"o_orderkey"})
-                   .Join(session.Read("customer").Project(
-                             {"c_custkey", "c_name"}),
-                         {"o_custkey"}, {"c_custkey"});
-  Edf top = joined.Sum("sum_l_quantity", {"c_name"})
-                .Sort({{"sum_sum_l_quantity", true}}, 10);
-
-  // The equivalent single plan on the exact engine.
-  DataFrame expected =
-      ExactEngine(&cat).Execute(top.plan().node());
+  Plan order_qty = Plan::Scan("lineitem").Aggregate(
+      {"l_orderkey"}, {Sum("l_quantity", "order_qty")});
+  Plan large_orders =
+      order_qty.Filter(Gt(Expr::Col("order_qty"), Expr::Float(150.0)));
+  Plan joined =
+      large_orders
+          .Join(Plan::Scan("orders").Project({"o_orderkey", "o_custkey"}),
+                JoinType::kInner, {"l_orderkey"}, {"o_orderkey"})
+          .Join(Plan::Scan("customer").Project({"c_custkey", "c_name"}),
+                JoinType::kInner, {"o_custkey"}, {"c_custkey"});
+  Plan top = joined.Aggregate({"c_name"}, {Sum("order_qty", "qty")})
+                 .Sort({{"qty", true}}, 10);
+  Db db(&cat);
   std::string diff;
-  EXPECT_TRUE(top.GetFinal().ApproxEquals(expected, 1e-6, &diff)) << diff;
+  EXPECT_TRUE(db.Prepare(top).Execute().ApproxEquals(
+      ExactEngine(&cat).Execute(top.node()), 1e-6, &diff))
+      << diff;
 }
 
 TEST(EdfTest, RunReturnsLiveHandleThatConverges) {
-  EdfSession session(&testing::SharedTpch());
-  Edf q = session.Read("lineitem").Sum("l_quantity", {"l_returnflag"});
-  EdfResult live = q.Run();
-  DataFrame final_frame = live.GetFinal();
-  EXPECT_TRUE(live.is_final());
-  EXPECT_DOUBLE_EQ(live.progress(), 1.0);
-  EXPECT_GE(live.num_states(), 2u);
-  EXPECT_EQ(final_frame.num_rows(), 3u);  // R, A, N
-}
-
-TEST(EdfTest, SubscribeStreamsStates) {
-  EdfSession session(&testing::SharedTpch());
+  Db db(&testing::SharedTpch());
+  QueryHandle live =
+      db.Prepare(Plan::Scan("lineitem")
+                     .Aggregate({"l_returnflag"}, {Sum("l_quantity", "qty")}))
+          .Run();
   size_t states = 0;
-  bool saw_final = false;
-  session.Read("orders")
-      .CountBy({"o_orderpriority"})
-      .Subscribe([&](const OlaState& s) {
-        ++states;
-        saw_final |= s.is_final;
-      });
-  EXPECT_GE(states, 3u);
-  EXPECT_TRUE(saw_final);
-}
-
-TEST(EdfTest, AggregationSugarNamesOutputs) {
-  EdfSession session(&testing::SharedTpch());
-  DataFrame avg =
-      session.Read("lineitem").Avg("l_discount", {}).GetFinal();
-  EXPECT_TRUE(avg.schema().HasField("avg_l_discount"));
-  DataFrame mins =
-      session.Read("lineitem").Min("l_shipdate", {}).GetFinal();
-  EXPECT_TRUE(mins.schema().HasField("min_l_shipdate"));
-  DataFrame distinct =
-      session.Read("lineitem").CountDistinct("l_suppkey", {}).GetFinal();
-  EXPECT_TRUE(distinct.schema().HasField("count_distinct_l_suppkey"));
-  DataFrame maxs = session.Read("orders").Max("o_totalprice", {}).GetFinal();
-  EXPECT_TRUE(maxs.schema().HasField("max_o_totalprice"));
-}
-
-TEST(EdfTest, DeriveAndMapCompose) {
-  EdfSession session(&testing::SharedTpch());
-  DataFrame out =
-      session.Read("lineitem")
-          .Derive({{"rev", Expr::Col("l_extendedprice") *
-                               (Expr::Float(1.0) - Expr::Col("l_discount"))}})
-          .Sum("rev", {})
-          .GetFinal();
-  ASSERT_EQ(out.num_rows(), 1u);
-  EXPECT_GT(out.column(0).DoubleAt(0), 0.0);
-}
-
-TEST(EdfTest, GetReturnsLatestStateWhileRunning) {
-  EdfSession session(&testing::SharedTpch());
-  Edf q = session.Read("lineitem").Sum("l_extendedprice", {"l_shipmode"});
-  EdfResult live = q.Run();
-  // Poll until at least one state lands, then verify snapshot sanity.
-  for (int i = 0; i < 200 && live.Get() == nullptr; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::optional<OlaState> last;
+  while (auto s = live.Next()) {
+    ++states;
+    EXPECT_LE(s->frame->num_rows(), 3u);  // never more than the final groups
+    last = std::move(s);
   }
-  DataFramePtr snapshot = live.Get();
-  ASSERT_NE(snapshot, nullptr);
-  EXPECT_LE(snapshot->num_rows(), 7u);  // at most the 7 ship modes
-  live.GetFinal();
+  EXPECT_GE(states, 2u);
+  ASSERT_TRUE(last.has_value());
+  EXPECT_TRUE(last->is_final);
+  EXPECT_DOUBLE_EQ(last->progress, 1.0);
+  EXPECT_EQ(live.Final().num_rows(), 3u);  // R, A, N
 }
 
 }  // namespace

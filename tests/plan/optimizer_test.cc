@@ -125,6 +125,89 @@ TEST_F(OptimizerTest, FoldsStringPredicates) {
   EXPECT_EQ(e->literal().s, "13");
 }
 
+DataFrame OneRow() {
+  DataFrame df(Schema({{"row", ValueType::kInt64}}));
+  df.mutable_column(0)->AppendInt(0);
+  return df;
+}
+
+TEST_F(OptimizerTest, FoldAgreesWithEvalOnLiteralExpressions) {
+  // A folded literal must carry exactly the type and value runtime
+  // evaluation of the unfolded expression produces.
+  const Value null_int = Value::Null(ValueType::kInt64);
+  const Value null_bool = Value::Null(ValueType::kBool);
+  const ExprPtr cases[] = {
+      // arithmetic: int/float promotion and the divide-by-zero convention
+      Expr::Int(7) + Expr::Int(5),
+      Expr::Int(7) - Expr::Float(0.5),
+      Expr::Float(1.5) * Expr::Int(4),
+      Expr::Int(7) / Expr::Int(2),
+      Expr::Float(3.0) / Expr::Int(0),
+      // comparisons, with a null operand
+      Lt(Expr::Int(3), Expr::Float(3.5)),
+      Ge(Expr::Str("b"), Expr::Str("a")),
+      Eq(Expr::Lit(null_int), Expr::Int(1)),
+      Ne(Expr::Int(1), Expr::Lit(null_int)),
+      // AND / OR / NOT over null
+      Expr::And(Expr::Lit(null_bool), Expr::Lit(Value::Bool(true))),
+      Expr::Or(Expr::Lit(null_bool), Expr::Lit(Value::Bool(false))),
+      Expr::Not(Expr::Lit(null_bool)),
+      // LIKE, IN, SUBSTR, IS NULL
+      Expr::Like(Expr::Str("PROMO BRASS"), "%BRASS"),
+      Expr::In(Expr::Int(3), {Value::Int(1), Value::Int(3)}),
+      Expr::In(Expr::Lit(null_int), {Value::Int(1)}),
+      Expr::Substr(Expr::Str("13-555"), 4, 10),
+      Expr::IsNull(Expr::Lit(null_int)),
+      Expr::IsNull(Expr::Int(0)),
+      // YEAR of a date
+      Expr::Year(Expr::Date(1995, 6, 17)),
+      // COALESCE of a null
+      Expr::Coalesce(Expr::Lit(Value::Null(ValueType::kFloat64)),
+                     Value::Float(2.5)),
+      // null arithmetic, and a CASE whose branches promote to float
+      Expr::Lit(null_int) * Expr::Int(3),
+      Expr::Case(Expr::Lit(Value::Bool(true)), Expr::Int(1),
+                 Expr::Float(0.5)),
+  };
+  const DataFrame one_row = OneRow();
+  for (const ExprPtr& e : cases) {
+    SCOPED_TRACE(e->ToString());
+    ExprPtr folded = FoldExpr(e);
+    ASSERT_EQ(folded->kind(), ExprKind::kLiteral);
+    const Value expected = e->Eval(one_row).GetValue(0);
+    EXPECT_EQ(folded->literal().type, expected.type);
+    EXPECT_EQ(folded->literal().is_null, expected.is_null);
+    EXPECT_TRUE(folded->literal() == expected)
+        << folded->literal().ToString() << " vs " << expected.ToString();
+  }
+}
+
+TEST_F(OptimizerTest, IllTypedLiteralExpressionsAreLeftForRuntime) {
+  // Eval rejects these; folding keeps the node so the query still fails
+  // where it would have without the optimizer.
+  const ExprPtr cases[] = {
+      Expr::Str("a") + Expr::Int(1),
+      Lt(Expr::Str("a"), Expr::Int(1)),
+      Expr::Not(Expr::Str("a")),
+      Expr::Year(Expr::Str("1995-06-17")),
+      Expr::Case(Expr::Lit(Value::Bool(true)), Expr::Str("a"), Expr::Int(1)),
+  };
+  const DataFrame one_row = OneRow();
+  for (const ExprPtr& e : cases) {
+    SCOPED_TRACE(e->ToString());
+    EXPECT_EQ(FoldExpr(e)->kind(), e->kind());
+    EXPECT_THROW(e->Eval(one_row), Error);
+  }
+  // Nor may a short-circuit swallow a non-bool literal side.
+  for (const ExprPtr& lit : {Expr::Str("a"), Expr::Float(0.5)}) {
+    ExprPtr e = Expr::And(Gt(C("amount"), Expr::Float(30.0)), lit);
+    SCOPED_TRACE(e->ToString());
+    EXPECT_EQ(FoldExpr(e)->kind(), ExprKind::kLogic);
+    Plan plan = Plan::Scan("sales").Filter(e);
+    EXPECT_THROW(ExactEngine(&cat_).Execute(plan.node()), Error);
+  }
+}
+
 TEST_F(OptimizerTest, TriviallyTrueFilterIsRemoved) {
   Plan plan = Plan::Scan("sales").Filter(
       Expr::And(Eq(Expr::Int(1), Expr::Int(1)), Gt(C("amount"),

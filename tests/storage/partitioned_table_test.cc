@@ -133,6 +133,21 @@ TEST_F(SerializationTest, TblRoundTrip) {
   EXPECT_EQ(back.schema().clustering_key(), t.schema().clustering_key());
 }
 
+TEST_F(SerializationTest, TblDoublesRoundTripBitExact) {
+  // Ten significant digits and beyond: a 9-digit format would lose them.
+  Schema schema({{"f", ValueType::kFloat64}});
+  DataFrame df(schema);
+  for (double v : {0.1234567891, 1.0 / 3.0, -2.5e-300, 123456789.0123}) {
+    df.mutable_column(0)->AppendDouble(v);
+  }
+  PartitionedTable t = PartitionedTable::FromDataFrame("dbl", df, 1);
+  t.WriteTblDir(dir_.string());
+  DataFrame back =
+      PartitionedTable::ReadTblDir(dir_.string(), "dbl").Materialize();
+  std::string diff;
+  EXPECT_TRUE(back.ApproxEquals(df, 0.0, &diff)) << diff;
+}
+
 TEST_F(SerializationTest, MissingFileThrows) {
   EXPECT_THROW(PartitionedTable::ReadTblDir(dir_.string(), "ghost"),
                Error);
